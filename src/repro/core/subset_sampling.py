@@ -31,9 +31,17 @@ _EPS = 1e-12
 def sample_gumbel(
     shape: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
-    """Standard Gumbel(0, 1) noise: ``-log(-log U)`` with U ~ Uniform(0,1)."""
-    uniform = rng.random(shape)
-    return -np.log(-np.log(np.clip(uniform, _EPS, 1.0 - _EPS)))
+    """Standard Gumbel(0, 1) noise: ``-log(-log U)`` with U ~ Uniform(0,1).
+
+    Computed in place in the one uniform buffer: the same five ufuncs in
+    the same order as the expression above, so the draw is unchanged.
+    """
+    noise = rng.random(shape)
+    np.clip(noise, _EPS, 1.0 - _EPS, out=noise)
+    np.log(noise, out=noise)
+    np.negative(noise, out=noise)
+    np.log(noise, out=noise)
+    return np.negative(noise, out=noise)
 
 
 #: Once a word's selection probability exceeds this, it is knocked out
@@ -93,38 +101,52 @@ def relaxed_topk_sample(
     replays it in reverse (the per-step probabilities are kept from the
     forward).  The composed reference —
     :func:`relaxed_topk_sample_composed`, which builds ~6 graph nodes per
-    step — stays as executable documentation; the two agree to 1e-8 in
-    both values and gradients (see ``tests/core/test_subset_sampling.py``).
+    step — stays as executable documentation and test oracle; the two
+    give bitwise-equal samples and agree to 1e-8 in gradients (see
+    ``tests/core/test_subset_sampling.py``).
     The recurrence itself is inherently sequential in ``j`` (step ``j+1``
     reads step ``j``'s probabilities), so the fusion removes the
-    per-step graph/closure overhead rather than the loop: v stays, but
-    each iteration is two vectorised numpy passes over ``(K, V)``.
+    per-step graph/closure overhead rather than the loop.  Both sweeps
+    allocate nothing per step: each step's softmax is written straight
+    into its slot of the kept probabilities, the suppression and the
+    reverse sweep's terms go through a few preallocated ``(K, V)`` work
+    buffers and one reused boolean saturation mask (``out=`` ufuncs, the
+    same operations in the same order, so results are bit for bit those
+    of the allocating form), and the last step's suppression — which no
+    later step reads — is skipped.
     """
     log_probs = as_tensor(log_probs)
     _validate(log_probs, num_samples, temperature)
     noise = _resolve_noise(log_probs, gumbel_noise, rng)
+    shape = log_probs.shape
     dtype = log_probs.data.dtype
     inv_temp = 1.0 / temperature
+    knockout = dtype.type(_KNOCKOUT)
 
     r = log_probs.data + noise.astype(dtype, copy=False)
     # Per-step selection probabilities, kept for the reverse sweep.
-    probs = np.empty((num_samples, *log_probs.shape), dtype=dtype)
-    out_data = np.zeros(log_probs.shape, dtype=dtype)
+    probs = np.empty((num_samples, *shape), dtype=dtype)
+    out_data = np.zeros(shape, dtype=dtype)
+    suppression = np.empty(shape, dtype=dtype)
+    saturated = np.empty(shape, dtype=bool)
+    last = num_samples - 1
     for j in range(num_samples):
         # Eq. 5: max-shifted softmax of the tempered keys.
-        p = r * inv_temp
+        p = np.multiply(r, inv_temp, out=probs[j])
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        probs[j] = p
         out_data += p
+        if j == last:
+            break
         # Eq. 4's suppression log(1 - p), with the saturation knock-out.
-        suppression = np.where(
-            p > _SATURATION,
-            dtype.type(_KNOCKOUT),
-            np.log(1.0 - np.minimum(p, _SATURATION) + _EPS),
-        )
-        r = r + suppression
+        np.minimum(p, _SATURATION, out=suppression)
+        np.subtract(1.0, suppression, out=suppression)
+        suppression += _EPS
+        np.log(suppression, out=suppression)
+        np.greater(p, _SATURATION, out=saturated)
+        np.copyto(suppression, knockout, where=saturated)
+        r += suppression
 
     def backward(grad: np.ndarray) -> None:
         if not log_probs.requires_grad:
@@ -134,16 +156,25 @@ def relaxed_topk_sample(
         # sum, (b) the suppression path p_j -> r_{j+1} whose derivative is
         # -1/(1 - p + eps) below saturation and exactly 0 above it (the
         # knock-out constant), then pushes both through the softmax.
-        gr = np.zeros(log_probs.shape, dtype=dtype)
+        gr = np.zeros(shape, dtype=dtype)
+        gp = np.empty(shape, dtype=dtype)
+        step = np.empty(shape, dtype=dtype)
+        mask = np.empty(shape, dtype=bool)
+        zero = dtype.type(0.0)
         for j in range(num_samples - 1, -1, -1):
             p = probs[j]
-            gp = np.where(
-                p > _SATURATION, 0.0, -1.0 / (1.0 - p + _EPS)
-            )
+            np.subtract(1.0, p, out=gp)
+            gp += _EPS
+            np.divide(-1.0, gp, out=gp)
+            np.greater(p, _SATURATION, out=mask)
+            np.copyto(gp, zero, where=mask)
             gp *= gr
             gp += grad
             inner = np.einsum("kv,kv->k", gp, p)[:, None]
-            gr += (inv_temp * p) * (gp - inner)
+            np.multiply(inv_temp, p, out=step)
+            gp -= inner
+            step *= gp
+            gr += step
         log_probs._accumulate(gr)
 
     return Tensor._make(out_data, (log_probs,), backward)

@@ -22,9 +22,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.contrastive import ContrastiveMode, topic_contrastive_loss
+# The kernels are called through their modules, so the attribute swaps of
+# repro.telemetry.ophooks.profile_ops see every call.
+from repro.core import contrastive as kernel_loss
+from repro.core import subset_sampling
+from repro.core.contrastive import ContrastiveMode
 from repro.core.similarity import SimilarityKernel, npmi_kernel
-from repro.core.subset_sampling import relaxed_topk_sample, sample_gumbel
 from repro.errors import ConfigError
 from repro.objectives.base import BatchContext, Objective
 
@@ -146,8 +149,8 @@ class TopicContrastiveObjective(Objective):
                 "prepare() (fit does) or pass rng= at construction"
             )
         log_beta = (beta + 1e-12).log()
-        noise = sample_gumbel(beta.shape, self.rng)
-        return relaxed_topk_sample(
+        noise = subset_sampling.sample_gumbel(beta.shape, self.rng)
+        return subset_sampling.relaxed_topk_sample(
             log_beta,
             cfg.num_sampled_words,
             cfg.gumbel_temperature,
@@ -160,7 +163,7 @@ class TopicContrastiveObjective(Objective):
                 "TopicContrastiveObjective has no similarity kernel yet; "
                 "call prepare() (fit does) or pass kernel= at construction"
             )
-        return topic_contrastive_loss(
+        return kernel_loss.topic_contrastive_loss(
             self.samples(beta),
             self.kernel,
             mode=self.config.mode,

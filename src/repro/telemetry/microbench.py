@@ -1,8 +1,9 @@
 """Deterministic microbenchmark of the fused autodiff kernels.
 
 ``repro bench --suite ops`` runs every kernel in
-:data:`repro.tensor.fused.PROFILED_FUSED_OPS` — forward *and* backward —
-on fixed, seeded shapes under :func:`~repro.telemetry.ophooks.profile_ops`
+:data:`repro.tensor.fused.PROFILED_FUSED_OPS` and
+:data:`repro.telemetry.ophooks.PROFILED_CORE_OPS` — forward *and*
+backward — on fixed, seeded shapes under :func:`~repro.telemetry.ophooks.profile_ops`
 and reports the resulting per-op table.  Because the shapes and inputs
 are pinned, two reports produced on the same machine are directly
 comparable and CI can guard the kernels against timing regressions
@@ -11,15 +12,18 @@ individually, not just through end-to-end training throughput.
 Shapes mirror the training hot path of the paper's configuration: a
 mini-batch of documents through an encoder layer (``linear``,
 ``batch_norm``, activations), the softmax family over a vocabulary-sized
-axis, and the fused ELBO terms over (batch, vocab) count matrices.
+axis, the fused ELBO terms over (batch, vocab) count matrices, and the
+contrastive term's sampler and kernel loss at the §V.E profile's size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import contrastive, subset_sampling
+from repro.core.similarity import SimilarityKernel
 from repro.telemetry.core import MetricsRegistry
-from repro.telemetry.ophooks import profile_ops
+from repro.telemetry.ophooks import PROFILED_CORE_OPS, profile_ops
 from repro.telemetry.report import (
     SPARSE_DENSE_KEY,
     SPARSE_DOCS_KEY,
@@ -35,6 +39,12 @@ BATCH = 64
 HIDDEN = 256
 TOPICS = 50
 VOCAB = 2000
+
+#: Vocabulary and words sampled per topic of the contrastive-term cases:
+#: the kernel loss is O(K·V²), so they use the §V.E profile's vocabulary
+#: (NYTimes, V≈500) rather than VOCAB.
+CONTRASTIVE_VOCAB = 500
+SAMPLED_WORDS = 10
 
 #: Nonzero fraction of the synthetic CSR bow used by the ``*_csr`` cases
 #: (matches the ≥95%-sparse corpora the fast path targets).
@@ -61,6 +71,18 @@ def _cases(rng: np.random.Generator, dt: np.dtype) -> list[tuple[str, callable]]
         0,
     ).astype(dt)
     bow_csr = CSRBatch.from_dense(bow_sparse)
+    similarity = rng.uniform(-1.0, 1.0, size=(CONTRASTIVE_VOCAB, CONTRASTIVE_VOCAB))
+    similarity = (similarity + similarity.T) / 2
+    kernel = SimilarityKernel(
+        name="microbench", matrix=similarity, exp_matrix=np.exp(similarity / 0.25)
+    )
+    log_beta = np.log(
+        rng.dirichlet(np.full(CONTRASTIVE_VOCAB, 0.3), size=TOPICS) + 1e-12
+    ).astype(dt)
+    gumbel = subset_sampling.sample_gumbel(log_beta.shape, rng)
+    samples = (
+        rng.dirichlet(np.ones(CONTRASTIVE_VOCAB), size=TOPICS) * SAMPLED_WORDS
+    ).astype(dt)
 
     def linear():
         fused.linear(t((BATCH, HIDDEN)), t((TOPICS, HIDDEN)), t(TOPICS)).sum().backward()
@@ -115,6 +137,17 @@ def _cases(rng: np.random.Generator, dt: np.dtype) -> list[tuple[str, callable]]
             training=True,
         ).sum().backward()
 
+    def relaxed_topk():
+        log_probs = Tensor(log_beta, requires_grad=True)
+        subset_sampling.relaxed_topk_sample(
+            log_probs, SAMPLED_WORDS, 0.5, gumbel_noise=gumbel
+        ).max(axis=1).sum().backward()
+
+    def contrastive_loss():
+        contrastive.topic_contrastive_loss(
+            Tensor(samples, requires_grad=True), kernel, negative_weight=3.0
+        ).backward()
+
     cases = [
         ("linear", linear),
         ("linear_csr", linear_csr),
@@ -130,10 +163,13 @@ def _cases(rng: np.random.Generator, dt: np.dtype) -> list[tuple[str, callable]]
         ("log_softmax_nll_csr", log_softmax_nll_csr),
         ("kl_normal_standard", kl_normal_standard),
         ("batch_norm", batch_norm),
+        ("relaxed_topk_sample", relaxed_topk),
+        ("topic_contrastive_loss", contrastive_loss),
     ]
-    missing = set(fused.PROFILED_FUSED_OPS) - {name for name, _ in cases}
+    profiled = set(fused.PROFILED_FUSED_OPS) | {name for _, name in PROFILED_CORE_OPS}
+    missing = profiled - {name for name, _ in cases}
     if missing:  # a new kernel must get a case before it ships
-        raise AssertionError(f"fused ops without a microbench case: {sorted(missing)}")
+        raise AssertionError(f"profiled kernels without a microbench case: {sorted(missing)}")
     return cases
 
 
@@ -143,7 +179,7 @@ def run_ops_microbench(
     dtype: str | np.dtype | None = None,
     seed: int = 0,
 ) -> MetricsRegistry:
-    """Time every fused kernel's forward+backward on fixed seeded inputs.
+    """Time every profiled kernel's forward+backward on fixed seeded inputs.
 
     Parameters
     ----------
@@ -159,7 +195,7 @@ def run_ops_microbench(
 
     Returns
     -------
-    The registry holding one ``op/<name>`` timer row per fused kernel.
+    The registry holding one ``op/<name>`` timer row per profiled kernel.
     """
     registry = registry if registry is not None else MetricsRegistry()
     dt = resolve_dtype(dtype) if dtype is not None else get_default_dtype()

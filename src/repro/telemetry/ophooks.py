@@ -3,9 +3,9 @@
 :func:`profile_ops` wraps every operation listed in
 :data:`repro.tensor.tensor.PROFILED_TENSOR_OPS`,
 :data:`repro.tensor.tensor.PROFILED_MODULE_OPS`,
-:data:`repro.tensor.functional.PROFILED_FUNCTIONAL_OPS` and
-:data:`repro.tensor.fused.PROFILED_FUSED_OPS` with a shim that records,
-per op:
+:data:`repro.tensor.functional.PROFILED_FUNCTIONAL_OPS`,
+:data:`repro.tensor.fused.PROFILED_FUSED_OPS` and :data:`PROFILED_CORE_OPS`
+with a shim that records, per op:
 
 * ``op/<name>`` (timer)            — forward wall-time
 * ``op/<name>.backward`` (timer)   — wall-time of the op's backward closure
@@ -37,6 +37,8 @@ import functools
 import time
 from typing import Iterator
 
+from repro.core import contrastive as _contrastive
+from repro.core import subset_sampling as _subset_sampling
 from repro.telemetry.core import MetricsRegistry
 from repro.tensor import functional as _functional
 from repro.tensor import fused as _fused
@@ -52,6 +54,16 @@ OP_PREFIX = "op/"
 
 #: Timer key for full reverse-mode graph traversals.
 BACKWARD_PASS_KEY = "autograd/backward_pass"
+
+#: The paper's single-node kernels outside :mod:`repro.tensor`, as
+#: ``(module, function)`` pairs: the relaxed top-k sampler (Eqs. 3-5) and
+#: the contrastive loss (Eq. 2).  Each reports one ``op/<function>`` row,
+#: forward and backward.  Callers reach them through the module attribute
+#: (see :mod:`repro.objectives.contrastive`), which is what gets swapped.
+PROFILED_CORE_OPS: tuple[tuple[object, str], ...] = (
+    (_subset_sampling, "relaxed_topk_sample"),
+    (_contrastive, "topic_contrastive_loss"),
+)
 
 # The stack of active registries; module-global so the installed shims can
 # fan recorded metrics out to every enclosing profile_ops block.
@@ -145,6 +157,8 @@ def _install_shims() -> None:
         install(
             _functional, name, _wrap_op(getattr(_functional, name), op_label(name))
         )
+    for module, name in PROFILED_CORE_OPS:
+        install(module, name, _wrap_op(getattr(module, name), op_label(name)))
 
 
 def _uninstall_shims() -> None:

@@ -180,3 +180,102 @@ class TestValidation:
         np.testing.assert_allclose(
             kernel.exp_matrix, np.exp(kernel.matrix / 0.5)
         )
+
+
+def _random_kernel(rng, v, temperature=0.25) -> SimilarityKernel:
+    matrix = rng.uniform(-1, 1, size=(v, v))
+    matrix = (matrix + matrix.T) / 2
+    np.fill_diagonal(matrix, 1.0)
+    return _kernel(matrix, temperature=temperature)
+
+
+def _loss_and_grad(fn, samples, kernel, upstream, **kwargs):
+    y = Tensor(samples.copy(), requires_grad=True)
+    loss = fn(y, kernel, **kwargs)
+    loss.backward(upstream)
+    return loss.data, y.grad
+
+
+class TestFusedMatchesComposed:
+    """The one-node loss replays the composed graph bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", list(ContrastiveMode))
+    @pytest.mark.parametrize("negative_weight", [1.0, 3.0])
+    @pytest.mark.parametrize("k,v", [(5, 30), (1, 12), (12, 60)])
+    def test_loss_and_gradient_bitwise(self, dtype, mode, negative_weight, k, v):
+        from repro.core.contrastive import topic_contrastive_loss_composed
+
+        rng = np.random.default_rng(k * 100 + v)
+        kernel = _random_kernel(rng, v)
+        samples = (rng.dirichlet(np.ones(v) * 0.3, size=k) * 4).astype(dtype)
+        upstream = np.asarray(rng.normal(), dtype=dtype)
+        kwargs = dict(mode=mode, negative_weight=negative_weight)
+        loss, grad = _loss_and_grad(
+            topic_contrastive_loss, samples, kernel, upstream, **kwargs
+        )
+        ref_loss, ref_grad = _loss_and_grad(
+            topic_contrastive_loss_composed, samples, kernel, upstream, **kwargs
+        )
+        assert loss.dtype == ref_loss.dtype == dtype
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.dtype == ref_grad.dtype == dtype
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("mode", list(ContrastiveMode))
+    def test_hard_indicators_bitwise(self, mode):
+        from repro.core.contrastive import topic_contrastive_loss_composed
+
+        kernel = _block_kernel()
+        samples = _indicator([[0, 1, 2], [0, 1, 3]], 8)
+        upstream = np.asarray(1.0)
+        loss, grad = _loss_and_grad(
+            topic_contrastive_loss, samples, kernel, upstream, mode=mode
+        )
+        ref_loss, ref_grad = _loss_and_grad(
+            topic_contrastive_loss_composed, samples, kernel, upstream, mode=mode
+        )
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_fused_is_one_graph_node(self):
+        rng = np.random.default_rng(2)
+        y = Tensor(rng.dirichlet(np.ones(8), size=3), requires_grad=True)
+        loss = topic_contrastive_loss(y, _random_kernel(rng, 8))
+        assert loss._parents == (y,)
+        assert loss.shape == ()
+
+    def test_constant_samples_build_no_graph(self):
+        rng = np.random.default_rng(3)
+        loss = topic_contrastive_loss(
+            Tensor(rng.dirichlet(np.ones(8), size=3)), _random_kernel(rng, 8)
+        )
+        assert not loss.requires_grad and loss._parents == ()
+
+    def test_unknown_mode_rejected(self):
+        kernel = _block_kernel()
+        with pytest.raises(ShapeError):
+            topic_contrastive_loss(Tensor(np.ones((2, 8))), kernel, mode="full")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_refreshed_kernel_is_read_live(self, dtype):
+        """After the stream-drift path's in-place ``refresh()`` the fused
+        loss must see the new exp(K) — the composed loss on the refreshed
+        kernel — not a copy captured on an earlier call."""
+        from repro.core.contrastive import topic_contrastive_loss_composed
+
+        rng = np.random.default_rng(4)
+        kernel = _random_kernel(rng, 20)
+        samples = (rng.dirichlet(np.ones(20), size=4) * 3).astype(dtype)
+        upstream = np.asarray(1.0, dtype=dtype)
+        before, _ = _loss_and_grad(topic_contrastive_loss, samples, kernel, upstream)
+
+        drift = rng.uniform(-1, 1, size=(20, 20))
+        kernel.refresh(np.clip(kernel.matrix + (drift + drift.T) / 4, -1, 1))
+        loss, grad = _loss_and_grad(topic_contrastive_loss, samples, kernel, upstream)
+        ref_loss, ref_grad = _loss_and_grad(
+            topic_contrastive_loss_composed, samples, kernel, upstream
+        )
+        assert loss.tobytes() != before.tobytes()
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()

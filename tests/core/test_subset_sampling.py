@@ -146,10 +146,9 @@ class TestFusedMatchesComposed:
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
     def test_forward_equivalent(self, temperature):
+        # Same ufuncs in the same order: the samples are bitwise equal.
         _, fused_out, _, composed_out = self._pair(0, temperature=temperature)
-        np.testing.assert_allclose(
-            fused_out.data, composed_out.data, atol=1e-8, rtol=0
-        )
+        np.testing.assert_array_equal(fused_out.data, composed_out.data)
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
     def test_backward_equivalent(self, temperature):
@@ -170,9 +169,7 @@ class TestFusedMatchesComposed:
         fused_in, fused_out, composed_in, composed_out = self._pair(
             2, temperature=0.01, scale=5.0, num=3
         )
-        np.testing.assert_allclose(
-            fused_out.data, composed_out.data, atol=1e-8, rtol=0
-        )
+        np.testing.assert_array_equal(fused_out.data, composed_out.data)
         fused_out.backward(np.ones(fused_out.shape))
         composed_out.backward(np.ones(composed_out.shape))
         np.testing.assert_allclose(
@@ -208,3 +205,58 @@ class TestFusedMatchesComposed:
         assert out.data.dtype == np.float32
         out.backward(np.ones(out.shape, dtype=np.float32))
         assert log_probs.grad.dtype == np.float32
+
+
+class TestInPlaceKernelIsBitwise:
+    """The in-place sampler and Gumbel draw against the allocating forms
+    they replaced (kept verbatim in ``_legacy_sampler``)."""
+
+    CASES = [
+        # (seed, K, V, v, temperature, scale)
+        (0, 5, 30, 6, 0.5, 1.0),
+        (1, 1, 12, 1, 0.5, 1.0),      # one topic, one draw: no suppression
+        (2, 7, 40, 10, 0.1, 1.0),
+        (3, 4, 25, 3, 0.01, 5.0),     # saturated: the knock-out engages
+        (4, 3, 12, 4, 1e-3, 1.0),
+        (5, 6, 50, 8, 2.0, 1.0),
+    ]
+
+    def _inputs(self, seed, k, v, scale, dtype):
+        rng = np.random.default_rng(seed)
+        log_probs = (_log_probs(rng, k=k, v=v) * scale).astype(dtype)
+        noise = sample_gumbel(log_probs.shape, rng)
+        upstream = rng.normal(size=log_probs.shape).astype(dtype)
+        return log_probs, noise, upstream
+
+    def _run(self, fn, log_probs, noise, num, temperature, upstream):
+        x = Tensor(log_probs.copy(), requires_grad=True)
+        with np.errstate(all="ignore"):
+            y = fn(x, num, temperature, gumbel_noise=noise)
+            y.backward(upstream)
+        return y.data, x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_samples_and_gradients_equal_the_allocating_form(self, case, dtype):
+        from tests.core._legacy_sampler import legacy_relaxed_topk_sample
+
+        seed, k, v, num, temperature, scale = case
+        log_probs, noise, upstream = self._inputs(seed, k, v, scale, dtype)
+        y_new, g_new = self._run(
+            relaxed_topk_sample, log_probs, noise, num, temperature, upstream
+        )
+        y_old, g_old = self._run(
+            legacy_relaxed_topk_sample, log_probs, noise, num, temperature, upstream
+        )
+        assert y_new.dtype == y_old.dtype == dtype
+        assert y_new.tobytes() == y_old.tobytes()
+        assert g_new.dtype == g_old.dtype == dtype
+        assert g_new.tobytes() == g_old.tobytes()
+
+    def test_gumbel_draw_equals_the_allocating_expression(self):
+        from tests.core._legacy_sampler import legacy_sample_gumbel
+
+        for shape in [(3, 7), (50, 504), (1,)]:
+            new = sample_gumbel(shape, np.random.default_rng(11))
+            old = legacy_sample_gumbel(shape, np.random.default_rng(11))
+            assert new.tobytes() == old.tobytes()

@@ -197,3 +197,52 @@ class TestFusedOps:
             assert fused.softmax is not originals["softmax"]
         for name, fn in originals.items():
             assert getattr(fused, name) is fn, name
+
+
+class TestContrastiveKernels:
+    """The sampler and the contrastive loss report one row each."""
+
+    def _objective(self, rng, v=12):
+        from repro.core.similarity import SimilarityKernel
+        from repro.objectives import TopicContrastiveObjective
+
+        matrix = rng.uniform(-1, 1, size=(v, v))
+        matrix = (matrix + matrix.T) / 2
+        kernel = SimilarityKernel("test", matrix, np.exp(matrix / 0.25), 0.25)
+        return TopicContrastiveObjective(
+            kernel=kernel, rng=np.random.default_rng(0), num_sampled_words=3
+        )
+
+    def test_objective_term_is_two_rows_forward_and_backward(self):
+        rng = np.random.default_rng(5)
+        objective = self._objective(rng)
+        beta = Tensor(rng.dirichlet(np.ones(12), size=4), requires_grad=True)
+        registry = MetricsRegistry()
+        with profile_ops(registry):
+            objective.loss(beta).backward()
+        for op in ("relaxed_topk_sample", "topic_contrastive_loss"):
+            assert registry.counters[f"op/{op}.calls"].value == 1, op
+            assert registry.timers[f"op/{op}"].count == 1, op
+            assert registry.timers[f"op/{op}.backward"].count == 1, op
+        # single nodes: no matmul/softmax rows from inside the term
+        assert "op/matmul" not in registry.timers
+        assert "op/softmax" not in registry.timers
+
+    def test_core_attributes_restored(self):
+        from repro.telemetry.ophooks import PROFILED_CORE_OPS
+
+        originals = [(m, n, getattr(m, n)) for m, n in PROFILED_CORE_OPS]
+        with profile_ops():
+            assert all(getattr(m, n) is not fn for m, n, fn in originals)
+        for module, name, fn in originals:
+            assert getattr(module, name) is fn, name
+
+    def test_every_profiled_kernel_has_a_microbench_case(self):
+        from repro.telemetry.microbench import run_ops_microbench
+        from repro.telemetry.ophooks import PROFILED_CORE_OPS
+
+        registry = run_ops_microbench(repeats=1, dtype="float32")
+        names = set(fused.PROFILED_FUSED_OPS) | {n for _, n in PROFILED_CORE_OPS}
+        for name in names:
+            assert registry.timers[f"op/{name}"].count >= 1, name
+            assert registry.timers[f"op/{name}.backward"].count >= 1, name
