@@ -129,11 +129,7 @@ class Preprocessor:
         documents: list[list[int]] = []
         kept_labels: list[int] = []
         for i, text in enumerate(texts):
-            ids = [
-                vocab.id_of(token)
-                for token in simple_tokenize(text)
-                if token in vocab
-            ]
+            ids = vocab.known_ids(simple_tokenize(text))
             if len(ids) < self.config.min_doc_length:
                 continue
             documents.append(ids)

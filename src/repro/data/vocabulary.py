@@ -53,6 +53,11 @@ class Vocabulary:
         except KeyError:
             raise VocabularyError(f"unknown token {token!r}") from None
 
+    def known_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Ids of the known ``tokens`` in order; unknown tokens are skipped."""
+        lookup = self._token_to_id.get
+        return [i for i in map(lookup, tokens) if i is not None]
+
     def token_of(self, token_id: int) -> str:
         """Token string for a known id."""
         if not 0 <= token_id < len(self._id_to_token):

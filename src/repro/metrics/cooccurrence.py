@@ -2,8 +2,12 @@
 
 Topic-coherence NPMI is conventionally estimated from boolean document
 co-occurrence: ``p(w) = df(w) / D`` and ``p(w_i, w_j) = df(w_i, w_j) / D``
-where ``df`` counts documents containing the word (pair).  The joint-count
-matrix is computed with one sparse matrix product.
+where ``df`` counts documents containing the word (pair).  One counting
+kernel, :meth:`DocumentCooccurrence.update`, serves both a cold count
+(an update of :meth:`~DocumentCooccurrence.empty` counts) and the
+streaming per-slice delta: one sparse product of the slice's 0/1
+incidence with itself, densified and added straight into the joint
+counts.
 
 Caching: counting is O(nnz·V) and several callers re-count the *same*
 corpus — every grid point recomputes the validation NPMI, every
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.data.corpus import Corpus
+from repro.data.corpus import Corpus, documents_to_csr, validate_documents
 from repro.errors import CorpusError, ShapeError
 
 #: Dense V×V joint matrices are large; keep only this many corpora.
@@ -85,8 +89,8 @@ class DocumentCooccurrence:
         #: Cached instances are shared read-only; :meth:`update` refuses
         #: to mutate them (set when an instance enters the LRU cache).
         self._frozen = False
-        #: Streaming counters: delta updates applied and their total
-        #: sparse-accumulated nonzeros.
+        #: Streaming counters: delta updates applied, the nonzero
+        #: entries of their deltas, and the documents they added.
         self.update_stats: dict[str, int] = {
             "updates": 0,
             "delta_nnz": 0,
@@ -95,7 +99,7 @@ class DocumentCooccurrence:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, cache: bool = True) -> "DocumentCooccurrence":
-        """Count document co-occurrence with a single sparse product.
+        """Count document co-occurrence: one :meth:`update` of empty counts.
 
         With ``cache=True`` (the default) the result is memoised per
         process under the corpus's content fingerprint; the returned
@@ -121,22 +125,18 @@ class DocumentCooccurrence:
 
     @classmethod
     def _count(cls, corpus: Corpus) -> "DocumentCooccurrence":
-        incidence = corpus.binary_doc_word()  # (docs, vocab), 0/1
-        joint = (incidence.T @ incidence).toarray()
-        doc_freq = np.diag(joint).copy()
-        return cls(len(corpus), doc_freq, joint)
+        counted = cls.empty(corpus.vocab_size)
+        counted.update(corpus)
+        return counted
 
     @classmethod
     def from_bow(cls, bow: np.ndarray | sparse.spmatrix) -> "DocumentCooccurrence":
         """Count from a (docs, vocab) count matrix directly."""
-        if sparse.issparse(bow):
-            incidence = bow.tocsr().copy()
-            incidence.data = np.ones_like(incidence.data)
-        else:
-            incidence = sparse.csr_matrix((np.asarray(bow) > 0).astype(np.float64))
-        joint = (incidence.T @ incidence).toarray()
-        doc_freq = np.diag(joint).copy()
-        return cls(incidence.shape[0], doc_freq, joint)
+        if not sparse.issparse(bow):
+            bow = np.asarray(bow)
+        counted = cls.empty(bow.shape[1])
+        counted.update(bow)
+        return counted
 
     @classmethod
     def empty(cls, vocab_size: int) -> "DocumentCooccurrence":
@@ -160,12 +160,14 @@ class DocumentCooccurrence:
     ) -> int:
         """Fold new documents' counts in, exactly; returns the delta nnz.
 
-        The delta is the new documents' binary-slice product — an
-        O(nnz_new·V) sparse accumulation scattered into the existing
-        dense ``joint`` (never a full O(nnz_total·V) recount).  Because
-        every count is an integer (exact in float64), the incremental
-        totals are **bitwise identical** to a from-scratch recount of
-        all documents seen so far.
+        The delta is the new documents' binary-slice product
+        ``incidence.T @ incidence`` — O(nnz_new·V), never a full
+        O(nnz_total·V) recount — densified and added straight into
+        ``joint``, with no COO sort or scatter.  The returned delta nnz
+        is its number of nonzero entries.  Because every count is an
+        integer (exact in float64), the incremental totals are **bitwise
+        identical** to a from-scratch recount of all documents seen so
+        far, in any slice order.
 
         ``new_docs`` may be a :class:`~repro.data.corpus.Corpus`, a
         sequence of token-id documents (the empty sequence is a no-op
@@ -183,16 +185,14 @@ class DocumentCooccurrence:
         added = incidence.shape[0]
         if added == 0:
             return 0
-        delta = (incidence.T @ incidence).tocoo()
-        delta.sum_duplicates()
-        # Canonical COO has unique coordinates, so fancy-indexed += is an
-        # exact scatter-add of integer-valued float64 counts.
-        self.joint[delta.row, delta.col] += delta.data
+        delta = (incidence.T @ incidence).toarray()
+        self.joint += delta
         self.doc_freq += np.asarray(incidence.sum(axis=0)).ravel()
         self.num_documents += added
-        self.update_stats["delta_nnz"] += int(delta.nnz)
+        delta_nnz = int(np.count_nonzero(delta))
+        self.update_stats["delta_nnz"] += delta_nnz
         self.update_stats["documents_added"] += added
-        return int(delta.nnz)
+        return delta_nnz
 
     def _as_incidence(self, new_docs) -> sparse.csr_matrix:
         """Normalize any accepted slice form to 0/1 CSR over this vocab."""
@@ -216,26 +216,10 @@ class DocumentCooccurrence:
             return sparse.csr_matrix((np.asarray(bow) > 0).astype(np.float64))
         # A (possibly empty) sequence of token-id documents.
         docs = [np.asarray(doc, dtype=np.int64) for doc in new_docs]
-        indptr = [0]
-        indices: list[int] = []
-        for i, doc in enumerate(docs):
-            if doc.size == 0:
-                raise CorpusError(f"slice document {i} is empty")
-            if doc.min() < 0 or doc.max() >= vocab:
-                raise CorpusError(
-                    f"slice document {i} has token ids outside [0, {vocab})"
-                )
-            ids = np.unique(doc)
-            indices.extend(ids.tolist())
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=np.float64),
-                np.array(indices, dtype=np.int64),
-                np.array(indptr, dtype=np.int64),
-            ),
-            shape=(len(docs), vocab),
-        )
+        validate_documents(docs, vocab, noun="slice document")
+        incidence = documents_to_csr(docs, vocab)
+        incidence.data = np.ones_like(incidence.data)
+        return incidence
 
     @property
     def vocab_size(self) -> int:

@@ -14,9 +14,10 @@ setting (documents arrive in time slices; see
 exact instead:
 
 * :meth:`~repro.metrics.cooccurrence.DocumentCooccurrence.update` adds
-  only the new documents' binary-slice product — O(nnz_new·V), sparse-
-  accumulated — into the existing joint/df/D counts, **bitwise equal**
-  to a full recount (integer counts are exact in float64);
+  only the new documents' binary-slice product — O(nnz_new·V), one
+  sparse product densified and added in with no sort or scatter — into
+  the existing joint/df/D counts, **bitwise equal** to a full recount
+  (integer counts are exact in float64);
 * :meth:`~repro.metrics.npmi.NpmiMatrix.rederive_into` rebuilds the
   NPMI matrix in place through one persistent
   :class:`~repro.metrics.npmi.NpmiWorkspace`, so the per-slice cost is

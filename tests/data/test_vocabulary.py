@@ -25,6 +25,11 @@ class TestBasics:
         assert "x" in vocab
         assert "y" not in vocab
 
+    def test_known_ids_skip_unknown_tokens(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        assert vocab.known_ids(["c", "zz", "a", "c", "b"]) == [2, 0, 2, 1]
+        assert vocab.known_ids([]) == []
+
     def test_add_returns_existing(self):
         vocab = Vocabulary(["x"])
         assert vocab.add("x") == 0
