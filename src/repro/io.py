@@ -171,7 +171,10 @@ def save_checkpoint(
 def _read_checkpoint(path: Path) -> tuple[dict, dict, dict]:
     """Read (meta, model_state, optimizer_state); harden against garbage."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load is handed an open file, not the path: on a truncated
+        # archive it raises before its own context manager owns the file,
+        # and only this ``with`` then closes it.
+        with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
             if _META_KEY not in archive:
                 raise CheckpointError(f"{path} is not a repro checkpoint")
             meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))

@@ -7,7 +7,10 @@ concurrent requests into few large model calls:
   coalesces more for up to ``max_wait_ms`` (or until ``max_batch_size``),
   so concurrent ``transform`` requests share one forward pass through the
   PR-6 sparse/``no_grad`` eval path instead of paying per-request model
-  overhead.
+  overhead.  Requests already queued are taken without suspending; the
+  worker only waits on the event loop when the queue runs empty inside
+  the window, so a full backlog costs one suspension per batch, not one
+  per request.
 * **Admission control** — a bounded queue with a shed watermark: when the
   backlog crosses ``shed_watermark × queue_capacity`` (or the hard
   capacity), new requests are *shed* immediately with a well-formed
@@ -47,6 +50,7 @@ Request kinds
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TYPE_CHECKING
@@ -80,6 +84,58 @@ TIMEOUT = "timeout"
 SHED = "shed"
 ERROR = "error"
 STATUSES = (OK, DEGRADED, TIMEOUT, SHED, ERROR)
+
+# Latency histogram geometry: log-spaced buckets, 20 per decade (each
+# bucket spans a factor 10**(1/20) ≈ 1.12) from 1 µs to 100 s, plus one
+# underflow and one overflow bucket.
+_BUCKETS_PER_DECADE = 20
+_HISTOGRAM_MIN_S = 1e-6
+_HISTOGRAM_DECADES = 8
+_NUM_BUCKETS = _HISTOGRAM_DECADES * _BUCKETS_PER_DECADE + 2
+#: The value a bucket reports for its samples: the geometric midpoint of
+#: an interior bucket, the midpoint of the underflow bucket and the lower
+#: edge of the overflow bucket.
+_BUCKET_VALUES = np.concatenate(
+    (
+        [_HISTOGRAM_MIN_S / 2],
+        _HISTOGRAM_MIN_S
+        * 10.0 ** ((np.arange(_NUM_BUCKETS - 2) + 0.5) / _BUCKETS_PER_DECADE),
+        [_HISTOGRAM_MIN_S * 10.0**_HISTOGRAM_DECADES],
+    )
+)
+
+
+class _LatencyHistogram:
+    """Constant-memory record of durations in fixed log-spaced buckets.
+
+    A percentile read from the buckets lies within one bucket (a factor
+    ``10**(1/20)``) of the exact order statistic, however many samples
+    were recorded.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts = [0] * _NUM_BUCKETS
+
+    def record(self, seconds: float) -> None:
+        if seconds < _HISTOGRAM_MIN_S:
+            index = 0
+        else:
+            index = min(
+                int(math.log10(seconds / _HISTOGRAM_MIN_S) * _BUCKETS_PER_DECADE) + 1,
+                _NUM_BUCKETS - 1,
+            )
+        self.counts[index] += 1
+
+    def percentiles(self, qs: Sequence[float]) -> list[float]:
+        """The bucket value at each percentile in ``qs`` (zeros when empty)."""
+        cumulative = np.cumsum(self.counts)
+        total = int(cumulative[-1])
+        if total == 0:
+            return [0.0] * len(qs)
+        ranks = np.rint(np.asarray(qs, dtype=float) / 100.0 * (total - 1))
+        return _BUCKET_VALUES[np.searchsorted(cumulative, ranks, side="right")].tolist()
 
 
 @dataclass(frozen=True)
@@ -187,7 +243,9 @@ class InferenceService:
             breaker_trips=0,
             invalid=0,
         )
-        self.latencies_s: list[float] = []
+        self._latency = _LatencyHistogram()
+        self._queue_wait = _LatencyHistogram()
+        self._batched_requests = 0
         self.max_queue_depth = 0
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
@@ -324,10 +382,15 @@ class InferenceService:
                 remaining = coalesce_until - self._clock()
                 if remaining <= 0:
                     break
-                try:
-                    extra = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+                # A queued request is taken without suspending; only an
+                # empty queue is worth a wait_for (a Task and a timer).
+                if self._queue.empty():
+                    try:
+                        extra = await asyncio.wait_for(self._queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    extra = self._queue.get_nowait()
                 if extra is None:
                     stopping = True
                     break
@@ -362,9 +425,11 @@ class InferenceService:
     async def _execute(self, kind: str, batch: list[_Pending]) -> None:
         """Run one same-kind micro-batch through the resilience envelope."""
         self._count("batches")
+        self._batched_requests += len(batch)
         now = self._clock()
         live = []
         for pending in batch:
+            self._queue_wait.record(now - pending.enqueued_at)
             if pending.deadline_at <= now:
                 self._finish(
                     pending,
@@ -424,9 +489,7 @@ class InferenceService:
                 continue
             if fault is not None and fault.nan_output and kind == TRANSFORM:
                 values = [np.full_like(np.asarray(v, dtype=float), np.nan) for v in values]
-            if kind == TRANSFORM and not all(
-                TrainingGuard.check_array(v) for v in values
-            ):
+            if kind == TRANSFORM and not TrainingGuard.check_array(values):
                 # A model fault, not a transient one: retrying a NaN model
                 # reproduces the NaN.  Count it against the breaker and
                 # serve this batch degraded.
@@ -462,7 +525,7 @@ class InferenceService:
         if kind == TRANSFORM:
             corpus = Corpus(payloads, self._vocabulary)
             theta = model.transform(corpus)
-            return [theta[i] for i in range(len(payloads))], version
+            return list(theta), version
         if kind == TOP_WORDS:
             by_n: dict[int, list[list[str]]] = {}
             for n in payloads:
@@ -507,7 +570,11 @@ class InferenceService:
         if kind not in KINDS:
             return f"unknown request kind {kind!r} (expected one of {KINDS})"
         if kind == TRANSFORM:
-            tokens = np.asarray(payload if payload is not None else [])
+            try:
+                tokens = np.asarray(payload if payload is not None else [])
+            except (ValueError, TypeError) as exc:
+                # Ragged nesting, or an object numpy cannot read as an array.
+                return f"transform payload is not a flat sequence of token ids: {exc}"
             if tokens.ndim != 1 or tokens.size == 0:
                 return "transform payload must be a non-empty sequence of token ids"
             if not np.issubdtype(tokens.dtype, np.integer):
@@ -545,7 +612,7 @@ class InferenceService:
     def _record(self, response: Response, latency_s: float | None = None) -> Response:
         self._count(response.status)
         if latency_s is not None:
-            self.latencies_s.append(latency_s)
+            self._latency.record(latency_s)
             if self.metrics is not None:
                 self.metrics.record_seconds(
                     "serving/latency", latency_s, absolute=True
@@ -558,21 +625,27 @@ class InferenceService:
             self.metrics.count(f"serving/{name}", absolute=True)
 
     def stats(self) -> dict:
-        """Scalar summary: counts, latency percentiles, breaker/registry."""
-        latencies = np.asarray(self.latencies_s, dtype=float)
-        percentiles = (
-            np.percentile(latencies, (50, 95, 99))
-            if latencies.size
-            else np.zeros(3)
-        )
+        """Scalar summary: counts, latency and queue-wait percentiles,
+        batch sizes, breaker/registry.
+
+        Percentiles come from the fixed-bucket histograms, so they are
+        exact to within one bucket (a factor ``10**(1/20)``).
+        """
+        latency = self._latency.percentiles((50, 95, 99))
+        wait = self._queue_wait.percentiles((50, 95, 99))
         responded = sum(self.counts[status] for status in STATUSES)
+        batches = self.counts["batches"]
         return {
             **{f"count_{k}": v for k, v in self.counts.items()},
             "responded": responded,
             "unanswered": self.counts["requests"] - responded,
-            "p50_seconds": float(percentiles[0]),
-            "p95_seconds": float(percentiles[1]),
-            "p99_seconds": float(percentiles[2]),
+            "p50_seconds": latency[0],
+            "p95_seconds": latency[1],
+            "p99_seconds": latency[2],
+            "queue_wait_p50_seconds": wait[0],
+            "queue_wait_p95_seconds": wait[1],
+            "queue_wait_p99_seconds": wait[2],
+            "batch_size_mean": self._batched_requests / batches if batches else 0.0,
             "max_queue_depth": self.max_queue_depth,
             "breaker_state": self.breaker.state,
             "breaker_trips": self.breaker.trips,

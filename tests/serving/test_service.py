@@ -172,6 +172,13 @@ class TestAdmission:
             Request(TRANSFORM, [0.5, 1.5]),            # non-integer ids
             Request(TRANSFORM, [vocab_size + 3]),      # out-of-vocab ids
             Request(TRANSFORM, [-1]),                  # negative ids
+            Request(TRANSFORM, [[1, 2], [3]]),         # ragged nesting
+            Request(TRANSFORM, [1, [2, 3]]),           # ragged nesting
+            Request(TRANSFORM, [[1, 2], [3, 4]]),      # nested document
+            Request(TRANSFORM, "1 2 3"),               # string
+            Request(TRANSFORM, ["1", "2"]),            # strings
+            Request(TRANSFORM, [object(), 1]),         # objects
+            Request(TRANSFORM, {0: 1}),                # mapping
             Request(TOP_WORDS, 0),                     # non-positive n
             Request(COHERENCE),                        # no npmi matrix wired
         ]
@@ -181,8 +188,10 @@ class TestAdmission:
         for response in responses[: len(bad)]:
             assert response.status == "error"
             assert response.error
+        assert "flat sequence" in responses[5].error  # the ragged payload
         assert all(r.ok for r in responses[len(bad):])
         assert service.counts["invalid"] == len(bad)
+        assert service.stats()["unanswered"] == 0
 
 
 class TestDeadlines:
