@@ -129,7 +129,7 @@ def test_computational_analysis(benchmark, settings_nytimes, profile_into_suite)
     # The hot path runs through the fused kernels: they must appear as
     # single rows (encoder linear, β softmax, fused reconstruction NLL).
     # On sparse corpora the auto-dispatch runs the reconstruction through
-    # the matmul-free CSR mixture kernel instead of nll_from_probs.
+    # the fused CSR mixture kernel instead of nll_from_probs.
     for fused_op in ("linear", "softmax"):
         assert op_rows[fused_op]["calls"] > 0, fused_op
         assert op_rows[fused_op]["backward_seconds"] > 0, fused_op

@@ -172,9 +172,13 @@ class NeuralTopicModel(TopicModel, Module):
         """Default: mean categorical negative log-likelihood (ETM-style).
 
         ``bow`` may be dense or a :class:`~repro.tensor.sparse.CSRBatch`.
-        The sparse form fuses the whole mixture decode: it never builds
-        the ``(batch, vocab)`` matrix ``theta @ beta``, evaluating the
-        mixture probabilities only at nonzero count positions.
+        The sparse form fuses the whole mixture decode into one node that
+        reads the mixture probabilities only at nonzero count positions:
+        a batch at or above the kernel's measured density crossover
+        computes them with one ``theta @ beta`` GEMM (gradients bitwise
+        equal to the dense form), a sparser one gathers them without
+        building the ``(batch, vocab)`` matrix (see
+        :func:`~repro.tensor.fused.nll_from_mixture_csr`).
         """
         if isinstance(bow, CSRBatch):
             return fused.nll_from_mixture_csr(theta, beta, bow)

@@ -245,6 +245,7 @@ class InferenceService:
         )
         self._latency = _LatencyHistogram()
         self._queue_wait = _LatencyHistogram()
+        self._compute_time = _LatencyHistogram()
         self._batched_requests = 0
         self.max_queue_depth = 0
         self._queue: asyncio.Queue | None = None
@@ -466,7 +467,9 @@ class InferenceService:
                     from repro.training.faults import InjectedFault
 
                     raise InjectedFault("injected worker death mid-batch")
+                started = self._clock()
                 values, version = self._compute(kind, payloads)
+                self._compute_time.record(self._clock() - started)
             except Exception as exc:  # transient batch failure → retry
                 self._count("batch_failures")
                 attempt += 1
@@ -625,14 +628,15 @@ class InferenceService:
             self.metrics.count(f"serving/{name}", absolute=True)
 
     def stats(self) -> dict:
-        """Scalar summary: counts, latency and queue-wait percentiles,
-        batch sizes, breaker/registry.
+        """Scalar summary: counts, latency, queue-wait and compute-time
+        percentiles, batch sizes, breaker/registry.
 
         Percentiles come from the fixed-bucket histograms, so they are
         exact to within one bucket (a factor ``10**(1/20)``).
         """
         latency = self._latency.percentiles((50, 95, 99))
         wait = self._queue_wait.percentiles((50, 95, 99))
+        compute = self._compute_time.percentiles((50, 95, 99))
         responded = sum(self.counts[status] for status in STATUSES)
         batches = self.counts["batches"]
         return {
@@ -645,6 +649,9 @@ class InferenceService:
             "queue_wait_p50_seconds": wait[0],
             "queue_wait_p95_seconds": wait[1],
             "queue_wait_p99_seconds": wait[2],
+            "compute_p50_seconds": compute[0],
+            "compute_p95_seconds": compute[1],
+            "compute_p99_seconds": compute[2],
             "batch_size_mean": self._batched_requests / batches if batches else 0.0,
             "max_queue_depth": self.max_queue_depth,
             "breaker_state": self.breaker.state,

@@ -293,8 +293,9 @@ def run_sparse_microbench(
         theta = fused.softmax(logits, axis=1)
         beta = fused.softmax(Tensor(beta_logits, requires_grad=True), axis=1)
         if isinstance(bow, CSRBatch):
-            # The fast path never materializes theta @ beta — exactly what
-            # NeuralTopicModel.reconstruction_loss does on a CSRBatch.
+            # What NeuralTopicModel.reconstruction_loss does on a CSRBatch;
+            # at this profile's density the kernel takes its gather decode
+            # and never materializes theta @ beta.
             loss = fused.nll_from_mixture_csr(theta, beta, bow)
         else:
             loss = fused.nll_from_probs(theta @ beta, bow)

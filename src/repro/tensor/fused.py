@@ -337,27 +337,39 @@ def nll_from_probs_csr(
     return Tensor._make(out_data, (word_probs,), backward)
 
 
+#: Batch density (``bow.density``) at and above which
+#: :func:`nll_from_mixture_csr` decodes through one dense ``theta @ beta``
+#: GEMM instead of per-nonzero gathers.  Measured crossover, not a knob:
+#: both costs scale with batch and topics, so the density alone decides
+#: (table in docs/PERFORMANCE.md §Sparse fast path).  Independent of the
+#: sparse policy's threshold, which decides the batch *format*.
+_GEMM_DECODE_DENSITY = 0.03
+
+
 def nll_from_mixture_csr(
     theta: Tensor, beta: Tensor, bow: CSRBatch, eps: float = 1e-12
 ) -> Tensor:
-    """Fused mixture-decode NLL: ``nll_from_probs(theta @ beta, bow)``
-    without ever materializing the ``(batch, vocab)`` probability matrix.
+    """Fused mixture-decode NLL: ``nll_from_probs(theta @ beta, bow)`` as
+    one node that reads the probabilities only at the nonzero counts.
 
     The mixture models (ETM-style decoders) only consume ``p = theta @
-    beta`` inside the count-weighted NLL, and the counts are ≥95% zeros —
-    so only the ``nnz`` probabilities paired with a nonzero count matter.
-    The forward computes ``p[d, v] = theta[d] · beta[:, v]`` at exactly
-    those positions (O(nnz·K) instead of O(batch·vocab·K) BLAS), and the
-    backward pushes the sparse coefficient matrix ``C[d, v] = -(g/B) *
-    bow[d, v] / (p[d, v] + eps)`` through the product rule with two
-    sparse×dense products::
+    beta`` inside the count-weighted NLL, so only the ``nnz`` probabilities
+    paired with a count enter the loss, and the backward coefficient
+    ``C[d, v] = -(g/B) * bow[d, v] / (p[d, v] + eps)`` is zero elsewhere.
+    Two decodes compute them; the batch density picks one
+    (:data:`_GEMM_DECODE_DENSITY`):
 
-        dtheta = C @ beta.T          # (batch, topics)
-        dbeta  = (C.T @ theta).T     # (topics, vocab)
+    - **GEMM** (density at or above the constant): one BLAS ``theta @
+      beta``, gathered at the nonzeros; the backward scatters ``C`` into a
+      dense ``(batch, vocab)`` buffer and runs ``C @ beta.T`` and
+      ``theta.T @ C`` — the very products ``Tensor.__matmul__``'s backward
+      runs on the dense chain, so both gradients are bitwise equal to it.
+    - **gather** (sparser batches): ``p`` only at the nonzeros, O(nnz·K)
+      through row/column gathers, and ``C`` pushed back through two
+      sparse×dense products; never materializes ``theta @ beta``.
 
-    Numerically this matches the dense chain to float associativity: the
-    dense kernel reduces each dot product through BLAS, this one through
-    ``einsum`` — both sum the same K terms.  ``bow`` is a constant.
+    The loss matches the dense chain to float rounding (it sums the same
+    count-weighted logs in a different order).  ``bow`` is a constant.
     """
     theta = as_tensor(theta)
     beta = as_tensor(beta)
@@ -376,6 +388,41 @@ def nll_from_mixture_csr(
             f"nll_from_mixture_csr shape mismatch: theta @ beta is "
             f"{(theta.shape[0], beta.shape[1])} but bow is {bow.shape}"
         )
+    if bow.density >= _GEMM_DECODE_DENSITY:
+        return _mixture_nll_gemm(theta, beta, bow, eps)
+    return _mixture_nll_gather(theta, beta, bow, eps)
+
+
+def _mixture_nll_gemm(
+    theta: Tensor, beta: Tensor, bow: CSRBatch, eps: float
+) -> Tensor:
+    """GEMM decode of :func:`nll_from_mixture_csr` (validated operands)."""
+    dtype = np.result_type(theta.data.dtype, beta.data.dtype)
+    counts = bow.data.astype(dtype, copy=False)
+    batch, vocab = bow.shape
+    # Flat offsets of the nonzeros in a C-ordered (batch, vocab) array.
+    flat = bow.row_ids() * vocab + bow.indices
+    denom_nz = (theta.data @ beta.data).ravel().take(flat)
+    denom_nz += eps
+    total = -float(counts @ np.log(denom_nz)) if bow.nnz else 0.0
+    out_data = np.asarray(total / max(batch, 1), dtype=dtype)
+
+    def backward(grad: np.ndarray) -> None:
+        scale = -float(grad) / batch
+        coeff = np.zeros((batch, vocab), dtype=dtype)
+        coeff.ravel()[flat] = scale * counts / denom_nz
+        if theta.requires_grad:
+            theta._accumulate(coeff @ beta.data.T)
+        if beta.requires_grad:
+            beta._accumulate(theta.data.T @ coeff)
+
+    return Tensor._make(out_data, (theta, beta), backward)
+
+
+def _mixture_nll_gather(
+    theta: Tensor, beta: Tensor, bow: CSRBatch, eps: float
+) -> Tensor:
+    """Gather decode of :func:`nll_from_mixture_csr` (validated operands)."""
     dtype = np.result_type(theta.data.dtype, beta.data.dtype)
     counts = bow.data.astype(dtype, copy=False)
     rows = bow.row_ids()

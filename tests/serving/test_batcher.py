@@ -3,8 +3,9 @@
 The worker takes a queued request without suspending and waits on the
 event loop (``asyncio.wait_for``) only when the queue is empty inside the
 ``max_wait_ms`` window.  These tests pin that, the window itself (under an
-injected clock, with no real timer involved), a ``stop()`` landing
-mid-drain, and the constant-memory latency record.
+injected clock, with no real timer involved), the per-batch compute time
+apart from queue wait, a ``stop()`` landing mid-drain, and the
+constant-memory latency record.
 """
 
 from __future__ import annotations
@@ -126,6 +127,48 @@ class TestWindowUnderAnInjectedClock:
         np.testing.assert_allclose([r.latency_ms for r in responses], [5.0, 2.0, 5.0])
 
 
+class TestComputeTimeUnderAnInjectedClock:
+    def test_each_batch_compute_is_recorded_apart_from_queue_wait(
+        self, registry, tiny_corpus, monkeypatch
+    ):
+        clock = VirtualClock()
+        config = ServingConfig(max_batch_size=4, max_wait_ms=5.0, deadline_ms=1000.0)
+        service = InferenceService(
+            registry, tiny_corpus.vocabulary, config=config, clock=clock
+        )
+        # Seconds each batch's model call takes: the last one is slow.
+        durations = [0.002, 0.002, 0.040]
+        real_compute = service._compute
+
+        def slow_compute(kind, payloads):
+            clock.now += durations[service.counts["batches"] - 1]
+            return real_compute(kind, payloads)
+
+        monkeypatch.setattr(service, "_compute", slow_compute)
+
+        async def main():
+            await service.start()
+            try:
+                # Twelve queued requests: three full batches, no window.
+                return await asyncio.gather(
+                    *(service.submit(TRANSFORM, document(tiny_corpus, i)) for i in range(12))
+                )
+            finally:
+                await service.stop()
+
+        responses = asyncio.run(main())
+        assert all(r.ok for r in responses)
+        assert batch_sizes(responses) == [4] * 12
+        stats = service.stats()
+        bucket = 10.0 ** (1.0 / service_module._BUCKETS_PER_DECADE)
+        # Nearest-rank percentiles of [2, 2, 40] ms.
+        for q, exact in ((50, 0.002), (95, 0.040), (99, 0.040)):
+            assert exact / bucket <= stats[f"compute_p{q}_seconds"] <= exact * bucket, q
+        # The third batch waited behind two 2 ms computes, not its own 40.
+        assert 0.004 / bucket <= stats["queue_wait_p99_seconds"] <= 0.004 * bucket
+        assert 0.044 / bucket <= stats["p99_seconds"] <= 0.044 * bucket
+
+
 class TestStopMidDrain:
     def test_stop_behind_a_backlog_answers_every_request_once(
         self, registry, tiny_corpus, fast_serving_config
@@ -234,4 +277,6 @@ class TestBoundedLatencyRecord:
             assert value / bucket <= stats[f"p{q}_seconds"] <= value * bucket, q
         waits = [stats[f"queue_wait_p{q}_seconds"] for q in (50, 95, 99)]
         assert 0 < waits[0] <= waits[1] <= waits[2]
+        computes = [stats[f"compute_p{q}_seconds"] for q in (50, 95, 99)]
+        assert 0 < computes[0] <= computes[1] <= computes[2]
         assert stats["batch_size_mean"] == pytest.approx(20_010 / stats["count_batches"])
