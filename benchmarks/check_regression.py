@@ -42,7 +42,7 @@ Refreshing a baseline after an intentional perf change::
         --baseline benchmarks/baselines/BENCH_ops.json --current BENCH_ops.json
 
 Diffing two arbitrary reports (no gate, exit 0 unless inputs are bad) —
-used by the ddp scaling report and handy for local before/after runs::
+handy for local before/after runs::
 
     python benchmarks/check_regression.py --compare BENCH_before.json BENCH_after.json
 """

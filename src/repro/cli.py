@@ -7,10 +7,7 @@ Commands
               enables the fault-tolerant runtime, ``--checkpoint-dir``
               writes periodic/best/last-good resumable checkpoints, and
               ``--resume`` continues an interrupted run
-              bitwise-consistently.  ``--ddp-workers N`` trains
-              data-parallel: every batch is sharded across N forked
-              ranks with size-weighted gradient averaging
-              (:mod:`repro.parallel.ddp`).
+              bitwise-consistently.
 ``evaluate``  Reload a checkpoint and re-score it on the test split.
 ``topics``    Train (or reload) and print the top topics with NPMI.
 ``datasets``  Print the Table-I statistics of the bundled profiles.
@@ -37,11 +34,7 @@ Commands
               the §V.F multi-seed evaluation twice — serial and across
               ``--workers`` processes — asserts the metrics are
               identical, and records both wall-clocks (and the speedup)
-              for the CI perf-guard.  ``--suite ddp`` trains the same
-              profile once per ``--ddp-legs`` worker count (default
-              1,2,4) and records the scaling curve
-              (``ddp_wall_seconds_w<N>`` / ``ddp_docs_per_sec_w<N>`` /
-              ``ddp_speedup_w<N>``) for the CI perf-guard.
+              for the CI perf-guard.
               ``--suite streaming`` replays a synthetic drifting stream
               through the incremental co-occurrence/NPMI engine and
               through a per-slice full recount, checks the exactness
@@ -72,10 +65,6 @@ Examples
     python -m repro bench --suite sparse --telemetry BENCH_sparse.json
     python -m repro bench --suite multiseed --dataset 20ng --scale 0.1 \
         --epochs 5 --num-seeds 5 --workers 4 --telemetry BENCH_suite.json
-    python -m repro train --dataset 20ng --model contratopic --epochs 10 \
-        --ddp-workers 4
-    python -m repro bench --suite ddp --dataset 20ng --scale 0.1 \
-        --epochs 3 --ddp-legs 1,2,4 --telemetry BENCH_ddp.json
     python -m repro bench --suite streaming --stream-slices 20 \
         --stream-docs 250 --telemetry BENCH_streaming.json
     python -m repro bench --dataset 20ng --model contratopic --epochs 3 \
@@ -182,22 +171,17 @@ def _run_spec(args: argparse.Namespace, model):
             args.checkpoint_dir, every=getattr(args, "checkpoint_every", 1)
         )
     resume = getattr(args, "resume", None) or None
-    ddp_workers = getattr(args, "ddp_workers", None)
     objectives = _objectives_from_args(args)
     is_neural = isinstance(model, NeuralTopicModel)
-    if (
-        guard or checkpoint or resume or ddp_workers or objectives is not None
-    ) and not is_neural:
+    if (guard or checkpoint or resume or objectives is not None) and not is_neural:
         raise SystemExit(
-            "--guard/--resume/--checkpoint-dir/--ddp-workers/--objective "
-            "require a neural model"
+            "--guard/--resume/--checkpoint-dir/--objective require a neural model"
         )
     return RunSpec(
         model=model.config if is_neural else None,
         guard=guard,
         checkpoint=checkpoint,
         resume_from=resume,
-        ddp_workers=ddp_workers,
         objectives=objectives,
     )
 
@@ -465,80 +449,6 @@ def _cmd_bench_multiseed(args: argparse.Namespace, out) -> int:
             "dtype": args.dtype or _current_dtype_name(),
             "profile_ops": bool(args.profile_ops),
             "metrics": runs[MULTISEED_PARALLEL_KEY].summary(),
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_ddp(args: argparse.Namespace, out) -> int:
-    """``bench --suite ddp``: data-parallel scaling curve over worker counts.
-
-    Trains the same profile once per ``--ddp-legs`` worker count (a
-    fresh, identically-seeded model each leg), recording each leg's
-    wall-clock under ``ddp/wall_w<N>``; the report roll-up derives the
-    per-leg ``ddp_wall_seconds_w<N>`` / ``ddp_docs_per_sec_w<N>`` /
-    ``ddp_speedup_w<N>`` totals (speedup vs the ``workers=1`` leg, which
-    is the exact serial trainer) the CI perf-guard gates on.
-    """
-    import os
-
-    from repro.models.base import NeuralTopicModel
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import DDP_DOCS_KEY, DDP_WALL_KEY_PREFIX
-    from repro.training.trainer import RunSpec, Trainer
-
-    try:
-        legs = tuple(int(part) for part in str(args.ddp_legs).split(","))
-    except ValueError:
-        raise SystemExit(
-            f"--ddp-legs must be comma-separated worker counts, got {args.ddp_legs!r}"
-        ) from None
-    context = ExperimentContext(_settings_from_args(args))
-    train = context.dataset.train
-    registry = MetricsRegistry()
-    print(
-        f"ddp scaling benchmark: {args.model} on {args.dataset}, "
-        f"worker legs {list(legs)}...",
-        file=out,
-    )
-    for workers in legs:
-        model = context.build(args.model, seed=args.seed)
-        if not isinstance(model, NeuralTopicModel):
-            raise SystemExit("bench --suite ddp requires a neural model")
-        spec = RunSpec(model=model.config, ddp_workers=workers)
-        with registry.timer(f"{DDP_WALL_KEY_PREFIX}{workers}"):
-            Trainer(spec).fit(model, train)
-        exchange = model._trainer.exchange
-        if getattr(exchange, "metrics", None) is not None:
-            registry.merge(exchange.metrics)
-        print(f"  workers={workers}: trained {args.epochs} epochs", file=out)
-    # One leg's worth of work (every leg trains the same profile).
-    registry.counter(DDP_DOCS_KEY, absolute=True).value = float(
-        len(train) * args.epochs
-    )
-    train.record_cast_stats(registry)
-    report = build_report(
-        args.name or f"ddp_{args.model}_{args.dataset}",
-        registry=registry,
-        meta={
-            "suite": "ddp",
-            "dataset": args.dataset,
-            "model": args.model,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "seed": args.seed,
-            "legs": list(legs),
-            "cpu_count": os.cpu_count(),
-            "dtype": args.dtype or _current_dtype_name(),
         },
     )
     path = write_report(report, args.telemetry)
@@ -892,8 +802,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         return _cmd_bench_sparse(args, out)
     if args.suite == "multiseed":
         return _cmd_bench_multiseed(args, out)
-    if args.suite == "ddp":
-        return _cmd_bench_ddp(args, out)
     if args.suite == "streaming":
         return _cmd_bench_streaming(args, out)
     if args.suite == "regularizers":
@@ -948,7 +856,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             CheckpointSpec(args.checkpoint_dir) if args.checkpoint_dir else None
         ),
         faults=faults,
-        ddp_workers=args.ddp_workers,
         objectives=_objectives_from_args(args),
     )
     print(f"benchmarking {args.model} on {args.dataset}...", file=out)
@@ -1008,14 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard",
         action="store_true",
         help="enable NaN/divergence guards (skip/backoff/restore/degrade)",
-    )
-    train.add_argument(
-        "--ddp-workers",
-        type=int,
-        default=None,
-        help="data-parallel ranks per batch (1 = exact serial path; "
-        "N shards every batch across N forked ranks with size-weighted "
-        "gradient averaging)",
     )
 
     evaluate = sub.add_parser("evaluate", help="evaluate a saved checkpoint")
@@ -1127,7 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ops",
             "sparse",
             "multiseed",
-            "ddp",
             "streaming",
             "regularizers",
         ],
@@ -1136,7 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'sparse': dense-vs-CSR fast-path hot-path comparison; "
         "'multiseed': serial-vs-parallel §V.F multi-seed evaluation "
         "with a metric-equality assertion; "
-        "'ddp': data-parallel scaling curve over --ddp-legs worker counts; "
         "'streaming': incremental NPMI engine vs per-slice full recount "
         "on a synthetic drifting stream; "
         "'regularizers': objective-zoo leaderboard (ELBO control + every "
@@ -1147,20 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="etm",
         help="--suite regularizers: backbone every objective trains on "
         "(default: etm)",
-    )
-    bench.add_argument(
-        "--ddp-workers",
-        type=int,
-        default=None,
-        help="--suite train: run the benchmarked fit data-parallel "
-        "with this many ranks",
-    )
-    bench.add_argument(
-        "--ddp-legs",
-        default="1,2,4",
-        metavar="N,N,...",
-        help="--suite ddp: comma-separated worker counts to train and "
-        "compare (default: 1,2,4)",
     )
     bench.add_argument(
         "--workers",

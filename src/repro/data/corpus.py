@@ -178,11 +178,11 @@ class Corpus:
         self._csr_cache: sparse.csr_matrix | None = None
         self._csr_master: CSRBatch | None = None
         self._csr_casts: dict[np.dtype, CSRBatch] = {}
-        # Cache-effectiveness counters (see record_cast_stats): a "rebuild"
-        # is a from-scratch materialization for a dtype, a "hit" a cached
-        # return.  With the per-dtype dict caches each dtype rebuilds at
-        # most once per corpus lifetime — alternating float32 training with
-        # float64 NPMI evaluation no longer thrashes.
+        # Cache-effectiveness counters: a "rebuild" is a from-scratch
+        # materialization for a dtype, a "hit" a cached return.  With the
+        # per-dtype dict caches each dtype rebuilds at most once per corpus
+        # lifetime — alternating float32 training with float64 NPMI
+        # evaluation no longer thrashes.
         self.cast_stats: dict[str, int] = {
             "bow_rebuilds": 0,
             "bow_hits": 0,
@@ -382,57 +382,6 @@ class Corpus:
     def bow_density(self) -> float:
         """Nonzero fraction of the bag-of-words matrix (sparse dispatch)."""
         return self.bow_csr(np.float64).density
-
-    # ------------------------------------------------------------------
-    def adopt_bow_matrix(self, dtype, array: np.ndarray) -> None:
-        """Install ``array`` as the cached dense BOW for ``dtype``.
-
-        The DDP exchange (:mod:`repro.parallel.shm`) uses this to swap a
-        cache entry's backing storage for a shared-memory copy before
-        forking workers, so every rank maps one physical BOW.  The adopted
-        array must match the cached entry's shape and dtype exactly.
-        """
-        resolved = np.dtype(dtype)
-        expected = (len(self), self.vocab_size)
-        if array.shape != expected or array.dtype != resolved:
-            raise CorpusError(
-                f"adopted bow has shape {array.shape} dtype {array.dtype}, "
-                f"expected {expected} {resolved}"
-            )
-        if resolved == np.float64:
-            self._bow_cache = array
-        else:
-            self._bow_casts[resolved] = array
-
-    def adopt_bow_csr(self, dtype, csr: CSRBatch) -> None:
-        """Install ``csr`` as the cached :class:`CSRBatch` for ``dtype``.
-
-        Shared-memory counterpart of :meth:`adopt_bow_matrix` for the
-        sparse fast path; replaces the float64 master or the per-dtype
-        cast entry.
-        """
-        resolved = np.dtype(dtype)
-        expected = (len(self), self.vocab_size)
-        if tuple(csr.shape) != expected or csr.dtype != resolved:
-            raise CorpusError(
-                f"adopted csr has shape {tuple(csr.shape)} dtype {csr.dtype}, "
-                f"expected {expected} {resolved}"
-            )
-        if resolved == np.float64:
-            self._csr_master = csr
-        else:
-            self._csr_casts[resolved] = csr
-
-    def record_cast_stats(self, metrics, prefix: str = "data") -> None:
-        """Publish the cast-cache counters into a ``MetricsRegistry``.
-
-        Keys are absolute (``<prefix>/bow_cast_rebuilds`` etc.) so callers
-        in nested timer scopes record the same names.
-        """
-        for name, value in self.cast_stats.items():
-            kind, event = name.split("_", 1)
-            key = f"{prefix}/{kind}_cast_{event}"
-            metrics.counter(key, absolute=True).add(value)
 
     def binary_doc_word(self) -> sparse.csr_matrix:
         """Sparse boolean doc-word incidence (for NPMI co-occurrence)."""

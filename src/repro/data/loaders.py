@@ -102,15 +102,6 @@ class BatchIterator:
                 return
             yield self._materialize(batch_idx)
 
-    def batches_with_indices(self) -> Iterator[tuple[Batch, np.ndarray]]:
-        """Like iteration, but also yields the document indices per batch."""
-        order = self._rng.permutation(len(self.corpus))
-        for start in range(0, len(order), self.batch_size):
-            batch_idx = order[start : start + self.batch_size]
-            if self.drop_last and batch_idx.size < self.batch_size:
-                return
-            yield self._materialize(batch_idx), batch_idx
-
 
 def train_valid_split(
     corpus: Corpus, valid_fraction: float, rng: np.random.Generator

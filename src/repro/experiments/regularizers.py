@@ -152,7 +152,7 @@ def regularizer_leaderboard(
     ``objectives`` entries are :class:`ObjectiveSpec` instances (``None``
     entries train the pure-ELBO control via ``RunSpec(objectives=())``);
     the default field is :data:`DEFAULT_OBJECTIVES`.  ``run_spec``
-    supplies the shared training configuration (guard, checkpoints, DDP);
+    supplies the shared training configuration (guard, checkpoints, faults);
     each row trains under ``replace(run_spec, objectives=...)`` so the
     *only* difference between rows is the regularizer itself.  Seeds fan
     out through :class:`repro.parallel.ParallelMap` when ``workers``

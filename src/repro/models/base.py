@@ -234,7 +234,7 @@ class NeuralTopicModel(TopicModel, Module):
         self._objectives = stack
 
     def objective_flags(self) -> dict[str, bool]:
-        """Per-term enable flags — what DDP ships and checkpoints carry."""
+        """Per-term enable flags — what checkpoints carry."""
         return self.objectives.flags()
 
     def apply_objective_flags(self, flags: "bool | dict[str, bool]") -> None:

@@ -1,19 +1,10 @@
-"""Process-parallel execution layer: experiment fan-out and data-parallel training.
+"""Process-parallel execution layer for multi-seed / grid / experiment fan-out.
 
-:mod:`repro.parallel.pool` fans out *independent* tasks (multi-seed,
-grid, experiment sections); :mod:`repro.parallel.ddp` parallelizes a
-*single* training run by sharding every batch across forked ranks with
-shared-memory parameter/gradient/BOW buffers
-(:mod:`repro.parallel.shm`).  See ``docs/PARALLELISM.md`` for the API,
-seeding guarantees, failure semantics and telemetry-merge behaviour.
+See :mod:`repro.parallel.pool` for the execution model and
+``docs/PARALLELISM.md`` for the API, seeding guarantees, failure
+semantics and telemetry-merge behaviour.
 """
 
-from repro.parallel.ddp import (
-    DDP_RNG_STREAM,
-    DDPGradientExchange,
-    GradientExchange,
-    SerialExchange,
-)
 from repro.parallel.pool import (
     TASK_TIMER_KEY,
     WORKERS_ENV,
@@ -25,20 +16,8 @@ from repro.parallel.pool import (
     require_any_success,
     resolve_workers,
 )
-from repro.parallel.shm import (
-    SharedArray,
-    SharedCorpusBow,
-    share_corpus_bow,
-    unshare_corpus_bow,
-)
 
 __all__ = [
-    "DDP_RNG_STREAM",
-    "DDPGradientExchange",
-    "GradientExchange",
-    "SerialExchange",
-    "SharedArray",
-    "SharedCorpusBow",
     "TASK_TIMER_KEY",
     "WORKERS_ENV",
     "ParallelMap",
@@ -48,6 +27,4 @@ __all__ = [
     "parallel_map",
     "require_any_success",
     "resolve_workers",
-    "share_corpus_bow",
-    "unshare_corpus_bow",
 ]

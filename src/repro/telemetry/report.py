@@ -65,19 +65,6 @@ SERVING_P95_KEY = "serving/p95"
 SERVING_P99_KEY = "serving/p99"
 SERVING_REQUESTS_KEY = "serving/requests_total"
 
-#: Registry keys the data-parallel scaling benchmark records under
-#: (``python -m repro bench --suite ddp`` and ``benchmarks/bench_ddp.py``):
-#: one ``ddp/wall_w<N>`` timer per worker-count leg (the leg's training
-#: wall-clock) and the number of documents every leg pushes through
-#: training.  :func:`build_report` rolls them into totals
-#: (``ddp_wall_seconds_w<N>``, ``ddp_docs_per_sec_w<N>`` and the
-#: ``ddp_speedup_w<N>`` ratios against the 1-worker leg) so the CI
-#: perf-guard can gate the scaling curve.  The exchange's own ``ddp/*``
-#: shard/reduce/step timers and bytes counters travel in the registry
-#: snapshot for inspection.
-DDP_WALL_KEY_PREFIX = "ddp/wall_w"
-DDP_DOCS_KEY = "ddp/docs"
-
 #: Registry keys the streaming-kernel benchmark records under
 #: (``python -m repro bench --suite streaming`` and
 #: ``benchmarks/bench_streaming.py``): wall-clock of the incremental
@@ -248,30 +235,6 @@ def build_report(
                 totals["serving_requests_per_sec"] = float(
                     served.value / wall.total_seconds
                 )
-        ddp_walls = {
-            key[len(DDP_WALL_KEY_PREFIX):]: stat
-            for key, stat in registry.timers.items()
-            if key.startswith(DDP_WALL_KEY_PREFIX) and stat.count
-        }
-        ddp_docs = registry.counters.get(DDP_DOCS_KEY)
-        for label in sorted(ddp_walls, key=lambda s: (len(s), s)):
-            stat = ddp_walls[label]
-            totals[f"ddp_wall_seconds_w{label}"] = float(stat.total_seconds)
-            if (
-                ddp_docs is not None
-                and ddp_docs.value
-                and stat.total_seconds > 0
-            ):
-                totals[f"ddp_docs_per_sec_w{label}"] = float(
-                    ddp_docs.value / stat.total_seconds
-                )
-        serial_leg = ddp_walls.get("1")
-        if serial_leg is not None and serial_leg.total_seconds > 0:
-            for label, stat in ddp_walls.items():
-                if label != "1" and stat.total_seconds > 0:
-                    totals[f"ddp_speedup_w{label}"] = float(
-                        serial_leg.total_seconds / stat.total_seconds
-                    )
         update_leg = registry.timers.get(STREAMING_UPDATE_KEY)
         recount_leg = registry.timers.get(STREAMING_RECOUNT_KEY)
         stream_docs = registry.counters.get(STREAMING_DOCS_KEY)
@@ -462,9 +425,6 @@ TIME_TOTALS = (
     "serving_p50_seconds",
     "serving_p95_seconds",
     "serving_p99_seconds",
-    "ddp_wall_seconds_w1",
-    "ddp_wall_seconds_w2",
-    "ddp_wall_seconds_w4",
     "streaming_update_seconds",
     "regularizers_wall_seconds",
 )
@@ -476,11 +436,6 @@ RATE_TOTALS = (
     "sparse_speedup",
     "sparse_docs_per_sec",
     "serving_requests_per_sec",
-    "ddp_docs_per_sec_w1",
-    "ddp_docs_per_sec_w2",
-    "ddp_docs_per_sec_w4",
-    "ddp_speedup_w2",
-    "ddp_speedup_w4",
     "streaming_speedup",
     "streaming_docs_per_sec",
     "streaming_buffer_reuses",

@@ -17,17 +17,9 @@ three pieces:
     trainers take in Ding et al. (2018) and Li et al. (2023).  The
     batch step is a pipeline of named, individually-testable methods::
 
-        zero_grad → dispatch_shard → compute_loss → inject_loss_fault
-                  → guard_loss → backward → reduce_gradients
-                  → inject_gradient_fault → clip_gradients
+        zero_grad → compute_loss → inject_loss_fault → guard_loss
+                  → backward → inject_gradient_fault → clip_gradients
                   → guard_gradients → apply_step
-
-    ``dispatch_shard``/``reduce_gradients`` delegate to the run's
-    :class:`~repro.parallel.ddp.GradientExchange`: the identity (serial)
-    strategy leaves the pipeline bitwise-identical to the pre-DDP
-    trainer, while ``RunSpec(ddp_workers=N)`` shards every batch across
-    N forked ranks and all-reduces a size-weighted gradient average into
-    the parent before the fault/clip/guard/step stages run.
 
 :class:`TrainState`
     The per-run mutable state (optimizer, batch RNG, guard runtime,
@@ -60,7 +52,7 @@ import contextlib
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -69,7 +61,6 @@ import numpy as np
 from repro.data.loaders import Batch, BatchIterator
 from repro.errors import ConfigError
 from repro.nn.optim import Adam, Optimizer, clip_grad_norm
-from repro.parallel.ddp import DDPGradientExchange, GradientExchange, SerialExchange
 from repro.tensor.dtypes import get_default_dtype
 from repro.training.faults import FaultInjector, FaultPlan, interrupted_writes
 from repro.training.resilience import (
@@ -160,11 +151,6 @@ class TrainState:
     guard: TrainingGuard | None = None
     faults: FaultInjector | None = None
     epoch: int = -1
-    #: The gradient-production strategy for the run.  The default
-    #: identity strategy *is* the serial trainer; ``fit`` swaps in a
-    #: :class:`~repro.parallel.ddp.DDPGradientExchange` when the spec
-    #: asks for data-parallel workers.
-    exchange: GradientExchange = field(default_factory=SerialExchange)
 
 
 def capture_training_state(model) -> dict:
@@ -331,12 +317,6 @@ class RunSpec:
     ``resume_from``
         Optional path of a format-v2 checkpoint to continue from,
         bitwise-consistently.
-    ``ddp_workers``
-        Optional data-parallel worker count (parent included).  ``None``
-        or ``1`` trains serially through the identity
-        :class:`~repro.parallel.ddp.GradientExchange`; ``N >= 2`` shards
-        every batch across N ranks with size-weighted gradient averaging
-        (see :mod:`repro.parallel.ddp` and docs/PARALLELISM.md).
     ``objectives``
         Optional tuple of
         :class:`~repro.objectives.registry.ObjectiveSpec` (or their
@@ -354,7 +334,6 @@ class RunSpec:
     checkpoint: CheckpointSpec | None = None
     faults: FaultPlan | None = None
     resume_from: str | None = None
-    ddp_workers: int | None = None
     objectives: "tuple | None" = None
 
     def __post_init__(self) -> None:
@@ -375,17 +354,6 @@ class RunSpec:
                         f"or mappings, got {type(entry).__name__}"
                     )
             self.objectives = tuple(specs)
-        if self.ddp_workers is not None:
-            if not isinstance(self.ddp_workers, int) or isinstance(
-                self.ddp_workers, bool
-            ):
-                raise ConfigError(
-                    f"ddp_workers must be an integer, got {self.ddp_workers!r}"
-                )
-            if self.ddp_workers < 1:
-                raise ConfigError(
-                    f"ddp_workers must be >= 1, got {self.ddp_workers}"
-                )
 
     # -- convenience constructors --------------------------------------
     @classmethod
@@ -405,7 +373,6 @@ class RunSpec:
             "resume_from": (
                 str(self.resume_from) if self.resume_from is not None else None
             ),
-            "ddp_workers": self.ddp_workers,
             "objectives": (
                 [spec.to_dict() for spec in self.objectives]
                 if self.objectives is not None
@@ -424,7 +391,6 @@ class RunSpec:
         from repro.models.base import NTMConfig
 
         resume = data.get("resume_from")
-        workers = data.get("ddp_workers")
         objectives = data.get("objectives")
         if objectives is not None and not isinstance(objectives, (list, tuple)):
             raise ConfigError(
@@ -437,7 +403,6 @@ class RunSpec:
             checkpoint=_decode(CheckpointSpec, data.get("checkpoint"), "checkpoint"),
             faults=_decode(FaultPlan, data.get("faults"), "faults"),
             resume_from=str(resume) if resume is not None else None,
-            ddp_workers=workers,
             objectives=tuple(objectives) if objectives is not None else None,
         )
 
@@ -519,24 +484,6 @@ class Trainer:
             )
         ]
 
-    def build_exchange(self, model) -> GradientExchange:
-        """The gradient-production strategy for this run.
-
-        ``ddp_workers`` unset (or 1) selects the identity strategy — the
-        pipeline then *is* the pre-DDP serial trainer, bit for bit.  On
-        platforms without the ``fork`` start method the serial strategy
-        is also used, the same quiet degradation
-        :class:`~repro.parallel.pool.ParallelMap` applies.
-        """
-        from repro.parallel.pool import fork_available
-
-        workers = self.spec.ddp_workers
-        if workers is None or workers <= 1:
-            return SerialExchange()
-        if not fork_available():  # pragma: no cover - platform dependent
-            return SerialExchange()
-        return DDPGradientExchange(workers=workers, seed=model.config.seed)
-
     def build_faults(
         self, override: FaultInjector | None
     ) -> tuple[FaultInjector | None, bool]:
@@ -558,31 +505,14 @@ class Trainer:
         return None, False
 
     # ------------------------------------------------------------------
-    # the batch-step pipeline: zero_grad → dispatch → loss → faults →
-    # guard → backward → reduce → faults → clip → guard → step.  Each
-    # stage is a named method so tests (and subclasses) can exercise or
-    # replace one stage at a time.  dispatch/reduce delegate to the
-    # run's GradientExchange; the serial strategy makes them identities,
-    # so without ``ddp_workers`` this is exactly the old pipeline.
+    # the batch-step pipeline: zero_grad → loss → faults → guard →
+    # backward → faults → clip → guard → step.  Each stage is a named
+    # method so tests (and subclasses) can exercise or replace one stage
+    # at a time.
     # ------------------------------------------------------------------
     def zero_grad(self, state: TrainState) -> None:
         """Clear accumulated gradients before the batch's forward pass."""
         state.optimizer.zero_grad()
-
-    def dispatch_shard(self, model, state: TrainState, bow: Batch, idx) -> Batch:
-        """The parent's shard of the batch (serially: the whole batch).
-
-        Under DDP this also broadcasts the current parameters and ships
-        the other ranks their shard indices.
-        """
-        flags = getattr(model, "objective_flags", None)
-        if callable(flags):
-            # Per-term enable map: workers mirror the guard's term-level
-            # degradation state exactly, not just an all-or-nothing bool.
-            extra: bool | dict = flags()
-        else:
-            extra = bool(getattr(model, "extra_loss_enabled", True))
-        return state.exchange.dispatch(bow, idx, extra)
 
     def compute_loss(self, model, bow: Batch):
         """Forward pass: the model's total loss and its scalar parts."""
@@ -604,19 +534,6 @@ class Trainer:
     def backward(self, loss) -> None:
         """Reverse pass: populate parameter gradients."""
         loss.backward()
-
-    def reduce_gradients(
-        self, model, state: TrainState, parts: dict, shard_docs: int, total_docs: int
-    ) -> dict:
-        """All-reduce shard gradients into the parent (serially: no-op).
-
-        Runs *before* the gradient faults/clip/guard stages so those —
-        and the optimizer step — act on the batch-level averaged
-        gradients, exactly as PR-2's resilience envelope expects.
-        """
-        return state.exchange.reduce(
-            model, parts, shard_docs=shard_docs, total_docs=total_docs
-        )
 
     def inject_gradient_fault(self, state: TrainState, model) -> None:
         """Fault harness: blow up gradients when the plan says so."""
@@ -642,29 +559,20 @@ class Trainer:
             state.guard.on_batch_ok()
 
     def train_batch(
-        self, model, state: TrainState, bow: Batch, idx=None
+        self, model, state: TrainState, bow: Batch
     ) -> tuple[dict[str, float], float] | None:
         """Run one batch through the pipeline.
 
         Returns ``(loss parts, pre-clip grad norm)``, or ``None`` when the
         guard skipped the batch (its statistics then stay out of the
-        epoch averages, exactly as a skipped batch should).  ``idx`` is
-        the batch's document indices — required for DDP sharding, unused
-        (and optional) on the serial path.
+        epoch averages, exactly as a skipped batch should).
         """
         self.zero_grad(state)
-        shard = self.dispatch_shard(model, state, bow, idx)
-        loss, parts = self.compute_loss(model, shard)
+        loss, parts = self.compute_loss(model, bow)
         self.inject_loss_fault(state, loss)
         if not self.guard_loss(state, loss):
-            # Workers were already dispatched: drain their replies so the
-            # pipes stay in lockstep for the next batch.
-            state.exchange.abort()
             return None
         self.backward(loss)
-        parts = self.reduce_gradients(
-            model, state, parts, shard_docs=len(shard), total_docs=len(bow)
-        )
         self.inject_gradient_fault(state, model)
         grad_norm = self.clip_gradients(model)
         if not self.guard_gradients(state, grad_norm):
@@ -684,8 +592,8 @@ class Trainer:
         n_batches = 0
         docs_seen = 0
         grad_norm_total = 0.0
-        for bow, idx in batches.batches_with_indices():
-            outcome = self.train_batch(model, state, bow, idx)
+        for bow in batches:
+            outcome = self.train_batch(model, state, bow)
             if outcome is None:
                 continue
             parts, grad_norm = outcome
@@ -757,7 +665,6 @@ class Trainer:
             guard=self.build_guard(model, optimizer),
             faults=injector,
             epoch=start_epoch - 1,
-            exchange=self.build_exchange(model),
         )
         model._trainer = state
 
@@ -769,39 +676,28 @@ class Trainer:
         with interrupts:
             for callback in run_callbacks:
                 callback.on_fit_start(model)
-            try:
-                # The exchange binds BEFORE the BatchIterator: a DDP bind
-                # re-homes the corpus' BOW cache into shared memory and
-                # forks the workers, and the iterator must cache the
-                # shared arrays, not a private copy.
-                state.exchange.bind(model, corpus, dtype=get_default_dtype())
-                # The BOW matrix is materialized once, in the policy
-                # dtype, so the per-batch Tensor wrap in ``encode_theta``
-                # is a no-copy view instead of a full float64→float32
-                # cast every step.
-                batches = BatchIterator(
-                    corpus,
-                    batch_size=model.config.batch_size,
-                    rng=batch_rng,
-                    dtype=get_default_dtype(),
-                )
-                for epoch in range(start_epoch, model.config.epochs):
-                    state.exchange.start_epoch(epoch)
-                    logs = self.train_epoch(model, state, batches)
-                    # The history entry IS the logs dict callbacks
-                    # receive, so a callback annotating the logs (e.g.
-                    # CheckpointCallback's guard_interrupted_saves delta)
-                    # annotates the history too.
-                    logs["epoch"] = float(epoch)
-                    model.history.append(logs)
-                    state.epoch = epoch
-                    stop = False
-                    for callback in run_callbacks:
-                        stop = callback.on_epoch_end(model, epoch, logs) or stop
-                    if stop:
-                        break
-            finally:
-                state.exchange.close()
+            # The BOW matrix is materialized once, in the policy dtype, so
+            # the per-batch Tensor wrap in ``encode_theta`` is a no-copy
+            # view instead of a full float64→float32 cast every step.
+            batches = BatchIterator(
+                corpus,
+                batch_size=model.config.batch_size,
+                rng=batch_rng,
+                dtype=get_default_dtype(),
+            )
+            for epoch in range(start_epoch, model.config.epochs):
+                logs = self.train_epoch(model, state, batches)
+                # The history entry IS the logs dict callbacks receive, so
+                # a callback annotating the logs (e.g. CheckpointCallback's
+                # guard_interrupted_saves delta) annotates the history too.
+                logs["epoch"] = float(epoch)
+                model.history.append(logs)
+                state.epoch = epoch
+                stop = False
+                for callback in run_callbacks:
+                    stop = callback.on_epoch_end(model, epoch, logs) or stop
+                if stop:
+                    break
             for callback in run_callbacks:
                 callback.on_fit_end(model)
         model.eval()

@@ -73,19 +73,6 @@ class TestCastCache:
         toy_corpus.bow_csr(np.float64)
         assert toy_corpus.bow_csr(np.float32) is csr_first
 
-    def test_record_cast_stats_publishes_counters(self, toy_corpus):
-        from repro.telemetry import MetricsRegistry
-
-        toy_corpus.bow_matrix(np.float32)
-        toy_corpus.bow_matrix(np.float32)
-        registry = MetricsRegistry()
-        toy_corpus.record_cast_stats(registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["data/bow_cast_rebuilds"] == 1
-        assert counters["data/bow_cast_hits"] == 1
-        assert "data/csr_cast_rebuilds" in counters
-        assert "data/csr_cast_hits" in counters
-
 
 class TestStats:
     def test_table1_quantities(self, toy_corpus):

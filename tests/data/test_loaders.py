@@ -44,11 +44,16 @@ class TestBatchIterator:
             np.sort(toy_corpus.bow_matrix().sum(axis=1)),
         )
 
-    def test_batches_with_indices(self, toy_corpus):
+    def test_batches_follow_the_shuffled_order(self, toy_corpus):
+        # A twin generator replays the iterator's one permutation per epoch.
         it = BatchIterator(toy_corpus, batch_size=3, rng=np.random.default_rng(0))
+        order = np.random.default_rng(0).permutation(len(toy_corpus))
+        bow = toy_corpus.bow_matrix()
         seen = []
-        for batch, idx in it.batches_with_indices():
+        for start, batch in zip(range(0, len(order), 3), it):
+            idx = order[start : start + 3]
             assert batch.shape[0] == idx.shape[0]
+            np.testing.assert_array_equal(batch, bow[idx])
             seen.extend(idx.tolist())
         assert sorted(seen) == list(range(len(toy_corpus)))
 

@@ -126,14 +126,19 @@ class TestBatchIteratorDispatch:
             batch = next(iter(it))
             assert batch.dtype == np.float32
 
-    def test_batches_with_indices_sparse(self, tiny_corpus):
+    def test_batches_follow_the_shuffled_order_sparse(self, tiny_corpus):
+        # A twin generator replays the iterator's one permutation per epoch.
         it = BatchIterator(
             tiny_corpus, batch_size=8, rng=np.random.default_rng(0), sparse=True
         )
+        order = np.random.default_rng(0).permutation(len(tiny_corpus))
         bow = tiny_corpus.bow_matrix()
-        for batch, idx in it.batches_with_indices():
+        seen = []
+        for start, batch in zip(range(0, len(order), 8), it):
+            idx = order[start : start + 8]
             np.testing.assert_array_equal(np.asarray(batch), bow[idx])
-            break
+            seen.extend(idx.tolist())
+        assert sorted(seen) == list(range(len(tiny_corpus)))
 
 class TestSparsePolicyEnv:
     def test_env_var_disables_sparse(self, tiny_corpus, monkeypatch):

@@ -235,3 +235,13 @@ class TestDeterministicSeeding:
         serial = [r.value for r in parallel_map(draw, list(range(6)), workers=1)]
         parallel = [r.value for r in parallel_map(draw, list(range(6)), workers=3)]
         assert serial == parallel
+
+    def test_no_collisions_across_task_and_stream_grid(self):
+        from repro.training import spawn_task_seed
+
+        seeds = {
+            spawn_task_seed(0, task, stream=stream)
+            for task in range(1024)
+            for stream in range(4)
+        }
+        assert len(seeds) == 1024 * 4

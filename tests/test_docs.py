@@ -89,8 +89,6 @@ class TestDocstringCoverage:
             "repro.training.protocol",
             "repro.training.trainer",
             "repro.parallel.pool",
-            "repro.parallel.ddp",
-            "repro.parallel.shm",
             "repro.extensions.online",
             "repro.serving.service",
             "repro.serving.breaker",

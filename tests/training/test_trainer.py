@@ -179,6 +179,10 @@ class TestRunSpecRoundTrip:
     def test_unknown_field_is_rejected(self):
         with pytest.raises(ConfigError):
             RunSpec.from_dict({"bogus": 1})
+        # A field RunSpec no longer has fails loudly instead of being
+        # silently ignored.
+        with pytest.raises(ConfigError):
+            RunSpec.from_dict({"ddp_workers": 2})
 
     def test_bad_nested_field_is_rejected(self):
         with pytest.raises(ConfigError):
