@@ -154,22 +154,17 @@ class ContraTopic(NeuralTopicModel):
         contrastive term by name, and the identical term is available
         standalone via ``ObjectiveSpec("contrastive")`` on any backbone.
         """
-        from repro.objectives.base import (
-            ElboObjective,
-            ObjectiveStack,
-            ObjectiveTerm,
-        )
+        from repro.objectives.base import ObjectiveTerm
 
-        return ObjectiveStack(
-            ElboObjective(),
-            [
-                ObjectiveTerm(
-                    "contrastive",
-                    self._contrastive,
-                    weight=self.regularizer.lambda_weight,
-                )
-            ],
+        stack = super().build_objectives()
+        stack.terms.append(
+            ObjectiveTerm(
+                "contrastive",
+                self._contrastive,
+                weight=self.regularizer.lambda_weight,
+            )
         )
+        return stack
 
     def contrastive_samples(self, beta: Tensor) -> Tensor:
         """Relaxed v-hot samples per topic (or v·β for ContraTopic-S)."""
@@ -177,6 +172,3 @@ class ContraTopic(NeuralTopicModel):
 
     def contrastive_loss(self, beta: Tensor) -> Tensor:
         return self._contrastive.loss(beta)
-
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        return self.contrastive_loss(beta) * self.regularizer.lambda_weight

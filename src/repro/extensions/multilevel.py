@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.contratopic import ContraTopic, ContraTopicConfig
 from repro.core.similarity import SimilarityKernel
 from repro.errors import ConfigError
 from repro.models.base import NeuralTopicModel
 from repro.objectives.clntm import DocumentContrastiveObjective
-from repro.tensor.tensor import Tensor
 
 
 @dataclass
@@ -86,20 +83,3 @@ class MultiLevelContraTopic(ContraTopic):
             )
         )
         return stack
-
-    @property
-    def _idf(self) -> np.ndarray | None:
-        return self._document.idf
-
-    # ------------------------------------------------------------------
-    def _document_views(self, bow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._document.views(bow)
-
-    def document_contrastive_loss(self, theta: Tensor, bow: np.ndarray) -> Tensor:
-        """InfoNCE over (anchor, salient-view, deleted-view) triplets."""
-        return self._document.infonce(self, theta, bow)
-
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        topic_term = super().extra_loss(theta, beta, bow)
-        doc_term = self.document_contrastive_loss(theta, bow)
-        return topic_term + doc_term * self.multilevel.lambda_document

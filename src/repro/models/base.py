@@ -137,10 +137,12 @@ class NeuralTopicModel(TopicModel, Module):
     """Common machinery: encoder, reparameterization, ELBO, training loop.
 
     Subclasses must implement :meth:`beta` (the differentiable topic-word
-    matrix) and may override :meth:`extra_loss` (regularizers — this is the
-    hook ContraTopic uses), :meth:`reconstruction_loss` (OT-based models
-    replace the categorical likelihood), and :meth:`kl_loss` (WLDA swaps
-    the KL for MMD).
+    matrix) and may override :meth:`build_objectives` (regularizers — each
+    one a named term of the model's
+    :class:`~repro.objectives.base.ObjectiveStack`, the way ContraTopic
+    adds λ·L_con), :meth:`reconstruction_loss` (OT-based models replace
+    the categorical likelihood), and :meth:`kl_loss` (WLDA swaps the KL
+    for MMD).
     """
 
     #: Class-level defaults so subclasses that bypass ``__init__`` (e.g.
@@ -188,39 +190,24 @@ class NeuralTopicModel(TopicModel, Module):
         """Default: closed-form KL to the standard-normal logistic prior."""
         return F.kl_normal_standard(mu, logvar)
 
-    def extra_loss(
-        self, theta: Tensor, beta: Tensor, bow: np.ndarray | CSRBatch
-    ) -> Tensor | None:
-        """Optional regularizer; ContraTopic plugs its L_con in here."""
-        return None
-
     # ------------------------------------------------------------------
     # the objective stack (composable loss terms)
     # ------------------------------------------------------------------
     def build_objectives(self) -> "ObjectiveStack":
         """The model's default loss composition.
 
-        Base class: the ELBO plus one ``extra`` term adapting the legacy
-        :meth:`extra_loss` hook — so subclasses overriding that hook keep
-        training identically.  Subclasses with named regularizers (e.g.
-        ContraTopic) override this to declare real terms; a
+        Base class: the ELBO alone, with no regularizer terms.  Models
+        with a regularizer (ContraTopic, CLNTM, ECRTM, NTM-R, VTMRL, …)
+        override this to append their named terms; a
         :class:`~repro.training.trainer.RunSpec` with ``objectives=``
         replaces whatever the model declares.
         """
         # Imported lazily: repro.objectives is a consumer-side layer and
         # importing it at module level would make every model import pull
         # in the similarity/NPMI machinery.
-        from repro.objectives.base import (
-            ElboObjective,
-            ExtraLossAdapter,
-            ObjectiveStack,
-            ObjectiveTerm,
-        )
+        from repro.objectives.base import ElboObjective, ObjectiveStack
 
-        return ObjectiveStack(
-            ElboObjective(),
-            [ObjectiveTerm("extra", ExtraLossAdapter())],
-        )
+        return ObjectiveStack(ElboObjective())
 
     @property
     def objectives(self) -> "ObjectiveStack":
@@ -232,28 +219,6 @@ class NeuralTopicModel(TopicModel, Module):
     def set_objectives(self, stack: "ObjectiveStack") -> None:
         """Replace the stack (the ``RunSpec.objectives`` attachment path)."""
         self._objectives = stack
-
-    def objective_flags(self) -> dict[str, bool]:
-        """Per-term enable flags — what checkpoints carry."""
-        return self.objectives.flags()
-
-    def apply_objective_flags(self, flags: "bool | dict[str, bool]") -> None:
-        """Set per-term flags from a dict, or all terms from a legacy bool."""
-        self.objectives.apply_flags(flags)
-
-    @property
-    def extra_loss_enabled(self) -> bool:
-        """Legacy single-switch view of the per-term flags.
-
-        True while *any* regularizer term is still enabled; assigning a
-        bool sets every term — exactly the pre-stack semantics, so the
-        guard's ELBO-only degradation and old checkpoints keep working.
-        """
-        return self.objectives.any_enabled()
-
-    @extra_loss_enabled.setter
-    def extra_loss_enabled(self, enabled: bool) -> None:
-        self.objectives.apply_flags(bool(enabled))
 
     # ------------------------------------------------------------------
     # shared machinery

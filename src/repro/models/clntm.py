@@ -7,20 +7,15 @@ refactor the math lives in
 is the registry alias **ProdLDA backbone + that one term** — its training
 is bitwise-identical to ``ProdLDA`` with
 ``ObjectiveSpec("clntm")`` attached (pinned by
-``tests/objectives/test_rivals.py``).  The ``_augment``/``extra_loss``
-methods remain as thin delegates for direct inspection and the legacy
-test surface.
+``tests/objectives/test_rivals.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.data.corpus import Corpus
 from repro.models.base import NTMConfig
 from repro.models.prodlda import ProdLDA
+from repro.objectives.base import ObjectiveTerm
 from repro.objectives.clntm import DocumentContrastiveObjective
-from repro.tensor.tensor import Tensor
 
 
 class CLNTM(ProdLDA):
@@ -53,32 +48,9 @@ class CLNTM(ProdLDA):
         )
 
     def build_objectives(self):
-        from repro.objectives.base import (
-            ElboObjective,
-            ObjectiveStack,
-            ObjectiveTerm,
+        """ELBO + the InfoNCE term as the ``clntm`` term."""
+        stack = super().build_objectives()
+        stack.terms.append(
+            ObjectiveTerm("clntm", self._objective, weight=self.contrastive_weight)
         )
-
-        return ObjectiveStack(
-            ElboObjective(),
-            [
-                ObjectiveTerm(
-                    "clntm", self._objective, weight=self.contrastive_weight
-                )
-            ],
-        )
-
-    # -- legacy inspection surface (delegates to the shared objective) --
-    @property
-    def _idf(self) -> np.ndarray | None:
-        return self._objective.idf
-
-    def on_fit_start(self, corpus: Corpus) -> None:
-        super().on_fit_start(corpus)  # stack prepare computes the idf table
-
-    def _augment(self, bow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positive view keeps tf-idf-salient words; negative deletes them."""
-        return self._objective.views(bow)
-
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        return self._objective.infonce(self, theta, bow) * self.contrastive_weight
+        return stack

@@ -19,6 +19,8 @@ import numpy as np
 
 from repro.models.base import NTMConfig
 from repro.models.etm import ETM
+from repro.objectives.base import ObjectiveTerm
+from repro.objectives.baselines import ClusteringRegularizerObjective
 from repro.ot.costs import euclidean_cost_matrix
 from repro.ot.sinkhorn import sinkhorn_divergence_loss
 from repro.tensor.tensor import Tensor
@@ -63,5 +65,12 @@ class ECRTM(ETM):
             n_iterations=self.sinkhorn_iterations,
         )
 
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        return self.clustering_regularizer() * self.ecr_weight
+    def build_objectives(self):
+        """ELBO + the clustering regularizer as the ``ecr`` term."""
+        stack = super().build_objectives()
+        stack.terms.append(
+            ObjectiveTerm(
+                "ecr", ClusteringRegularizerObjective(), weight=self.ecr_weight
+            )
+        )
+        return stack

@@ -15,8 +15,8 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.models.base import NTMConfig
 from repro.models.prodlda import ProdLDA
-from repro.tensor.dtypes import get_default_dtype
-from repro.tensor.tensor import Tensor
+from repro.objectives.base import ObjectiveTerm
+from repro.objectives.baselines import EmbeddingCoherenceObjective
 
 
 class NTMR(ProdLDA):
@@ -36,22 +36,20 @@ class NTMR(ProdLDA):
         coherence_weight: float = 5.0,
     ):
         super().__init__(vocab_size, config)
-        emb = np.asarray(word_embeddings, dtype=get_default_dtype())
-        if emb.shape[0] != vocab_size:
-            raise ShapeError(
-                f"embeddings rows {emb.shape[0]} != vocab size {vocab_size}"
-            )
-        norms = np.linalg.norm(emb, axis=1, keepdims=True) + 1e-12
-        self._embeddings = Tensor(emb / norms)  # frozen
+        rows = np.shape(word_embeddings)[0]
+        if rows != vocab_size:
+            raise ShapeError(f"embeddings rows {rows} != vocab size {vocab_size}")
+        self._coherence = EmbeddingCoherenceObjective(word_embeddings)
         self.coherence_weight = coherence_weight
 
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        """Negative expected word-to-centroid cosine agreement.
-
-        centroid_k = normalize(β_k ρ);  coherence = Σ_k β_k · (ρ centroid_k)
-        """
-        centroids = beta @ self._embeddings  # (K, e)
-        norm = ((centroids * centroids).sum(axis=1, keepdims=True) + 1e-12).sqrt()
-        centroids = centroids / norm
-        agreement = (beta * (centroids @ self._embeddings.T)).sum(axis=1)
-        return -agreement.mean() * self.coherence_weight
+    def build_objectives(self):
+        """ELBO + the coherence reward as the ``embedding_coherence`` term."""
+        stack = super().build_objectives()
+        stack.terms.append(
+            ObjectiveTerm(
+                "embedding_coherence",
+                self._coherence,
+                weight=self.coherence_weight,
+            )
+        )
+        return stack

@@ -16,7 +16,8 @@ from repro.errors import ShapeError
 from repro.metrics.npmi import NpmiMatrix
 from repro.models.base import NTMConfig
 from repro.models.prodlda import ProdLDA
-from repro.tensor.tensor import Tensor
+from repro.objectives.base import ObjectiveTerm
+from repro.objectives.baselines import ReinforceObjective
 
 
 class VTMRL(ProdLDA):
@@ -45,38 +46,17 @@ class VTMRL(ProdLDA):
             raise ShapeError(
                 f"NPMI vocab {npmi.vocab_size} != model vocab {vocab_size}"
             )
-        self._npmi = npmi
+        self._reinforce = ReinforceObjective(npmi, sample_words=sample_words)
         self.reward_weight = reward_weight
         self.sample_words = sample_words
-        self._baseline = 0.0
-        self._baseline_momentum = 0.9
+        # The REINFORCE running-mean baseline: a buffer, so checkpoints and
+        # the guard's restore point carry it.
+        self.register_buffer("reward_baseline", np.zeros(()))
 
-    def _sample_topic_words(self, beta_data: np.ndarray) -> np.ndarray:
-        """Hard Gumbel-top-k word sample per topic, ``(K, sample_words)``."""
-        gumbel = self._rng.gumbel(size=beta_data.shape)
-        keys = np.log(beta_data + 1e-12) + gumbel
-        return np.argsort(-keys, axis=1)[:, : self.sample_words]
-
-    def _reward(self, samples: np.ndarray) -> np.ndarray:
-        """Mean pairwise NPMI of each topic's sampled words."""
-        return np.array([self._npmi.mean_pairwise(row) for row in samples])
-
-    def extra_loss(self, theta: Tensor, beta: Tensor, bow: np.ndarray) -> Tensor:
-        samples = self._sample_topic_words(beta.data)
-        rewards = self._reward(samples)
-        advantage = rewards - self._baseline
-        self._baseline = (
-            self._baseline_momentum * self._baseline
-            + (1.0 - self._baseline_momentum) * float(rewards.mean())
+    def build_objectives(self):
+        """ELBO + the policy-gradient reward as the ``reinforce`` term."""
+        stack = super().build_objectives()
+        stack.terms.append(
+            ObjectiveTerm("reinforce", self._reinforce, weight=self.reward_weight)
         )
-        # REINFORCE: -E[(r - b) * Σ log β_k,w] over the sampled words.
-        log_beta = (beta + 1e-12).log()
-        k = samples.shape[0]
-        terms = []
-        for topic in range(k):
-            log_probs = log_beta[topic][Tensor(samples[topic])]
-            terms.append(log_probs.sum() * float(advantage[topic]))
-        from repro.tensor.tensor import stack
-
-        policy = stack(terms).mean()
-        return -policy * self.reward_weight
+        return stack

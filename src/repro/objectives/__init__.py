@@ -21,10 +21,14 @@ a duck-typed argument.
 from repro.objectives.base import (
     BatchContext,
     ElboObjective,
-    ExtraLossAdapter,
     Objective,
     ObjectiveStack,
     ObjectiveTerm,
+)
+from repro.objectives.baselines import (
+    ClusteringRegularizerObjective,
+    EmbeddingCoherenceObjective,
+    ReinforceObjective,
 )
 from repro.objectives.clntm import DocumentContrastiveObjective
 from repro.objectives.coherence import DiversityAwareCoherenceObjective
@@ -40,14 +44,16 @@ from repro.objectives.vicreg import VicRegObjective
 
 __all__ = [
     "BatchContext",
+    "ClusteringRegularizerObjective",
     "DiversityAwareCoherenceObjective",
     "DocumentContrastiveObjective",
     "ElboObjective",
-    "ExtraLossAdapter",
+    "EmbeddingCoherenceObjective",
     "Objective",
     "ObjectiveSpec",
     "ObjectiveStack",
     "ObjectiveTerm",
+    "ReinforceObjective",
     "TopicContrastiveObjective",
     "VicRegObjective",
     "attach_objectives",

@@ -1,15 +1,15 @@
 """The objective pipeline: a base ELBO term plus named regularizer terms.
 
-Historically every regularizer was an ``extra_loss`` override on a model
-subclass, which meant exactly one regularizer per model and a guard that
-could only flip one global switch.  The :class:`ObjectiveStack` replaces
-that with data: a base term (the reconstruction + KL ELBO) plus an ordered
-list of named, weighted, individually-disableable regularizer terms.
+A model's loss is data: a base term (the reconstruction + KL ELBO) plus
+an ordered list of named, weighted, individually-disableable regularizer
+terms.  A model declares its terms by overriding ``build_objectives``;
+this is the only way a regularizer enters training, so the guard's
+per-term degradation, checkpoint flags and telemetry see every term.
 
-The compute path is kept *operation-for-operation identical* to the old
-inline ``loss_on_batch`` body (same tensor ops, same order, same RNG
-consumption), so models refactored onto a stack train bitwise-identically
-— the oracle tests in ``tests/objectives/`` pin this.
+The compute path is kept *operation-for-operation identical* to the
+historical inline ``loss_on_batch`` body (same tensor ops, same order,
+same RNG consumption), so models refactored onto a stack train
+bitwise-identically — the oracle tests in ``tests/objectives/`` pin this.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ class ElboObjective(Objective):
         return loss, {"rec": rec.item(), "kl": kl.item()}
 
 
-class ExtraLossAdapter(Objective):
-    """Bridges the legacy ``extra_loss`` hook onto the objective protocol.
-
-    The default stack for any model is ELBO + this adapter, so subclasses
-    that still override ``extra_loss`` (the pre-refactor extension point)
-    train identically — including models whose hook returns ``None``.
-    """
-
-    name = "extra"
-
-    def term_on_batch(self, model, batch, ctx: BatchContext):
-        return model.extra_loss(ctx.theta, ctx.beta, batch), {}
-
-
 @dataclass
 class ObjectiveTerm:
     """One named, weighted, disableable regularizer slot in a stack."""
@@ -130,8 +116,8 @@ class ObjectiveStack:
     The stack owns the loss composition the trainer sees: one encoder
     forward, the base ELBO, then every *enabled* term in order.  Disabled
     terms are never invoked — they consume no RNG and add no graph nodes —
-    which is what makes the guard's per-term degradation bitwise-equal to
-    the legacy single-flag ELBO-only fallback.
+    which is what makes a degraded run bitwise-equal to one that never
+    had the term.
     """
 
     def __init__(
@@ -170,24 +156,10 @@ class ObjectiveStack:
     def set_enabled(self, name: str, enabled: bool) -> None:
         self.term(name).enabled = bool(enabled)
 
-    def apply_flags(self, flags: "bool | dict[str, bool]") -> None:
-        """Set per-term enables from a dict, or all terms from one bool.
-
-        The bool form is the legacy ``extra_loss_enabled`` semantics —
-        restoring an old single-flag checkpoint maps onto it bitwise.
-        """
-        if isinstance(flags, dict):
-            for name, enabled in flags.items():
-                self.set_enabled(str(name), bool(enabled))
-        else:
-            for term in self.terms:
-                term.enabled = bool(flags)
-
-    def any_enabled(self) -> bool:
-        return any(term.enabled for term in self.terms)
-
-    def all_enabled(self) -> bool:
-        return all(term.enabled for term in self.terms)
+    def apply_flags(self, flags: dict[str, bool]) -> None:
+        """Set per-term enables from a ``{term name: enabled}`` dict."""
+        for name, enabled in flags.items():
+            self.set_enabled(str(name), bool(enabled))
 
     def disable_next(self) -> str | None:
         """Disable the last still-enabled term; returns its name.
@@ -248,8 +220,7 @@ class ObjectiveStack:
             weighted = value if term.weight == 1.0 else value * term.weight
             loss = loss + weighted
             item = weighted.item()
-            if term.name != "extra":
-                parts[f"objective_{term.name}"] = item
+            parts[f"objective_{term.name}"] = item
             extra_total = item if extra_total is None else extra_total + item
             for key, diag_value in diagnostics.items():
                 parts[f"objective_{term.name}_{key}"] = float(diag_value)

@@ -7,10 +7,12 @@ a machine-readable record stream: one JSON object per line (JSONL), one
 line per epoch, bracketed by ``fit_start`` / ``fit_end`` events — the raw
 material for ``BENCH_*.json`` reports (:mod:`repro.telemetry.report`).
 
-The loss breakdown follows the paper's §V computational analysis: the
-backbone's ELBO terms (``rec + kl``) are reported separately from the
-contrastive regularizer's term (the ``extra`` loss component), so the
-regularizer's training cost is visible per epoch.
+The loss breakdown follows the paper's §V computational analysis: each
+epoch record is :func:`repro.telemetry.report.epoch_row` of the epoch
+logs, which reports the backbone's ELBO terms (``rec + kl``) separately
+from the regularizer total (``contrastive``, the ``extra`` loss
+component) and keeps each objective-stack term as ``objective_<name>``,
+so the regularizer's training cost is visible per epoch.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import IO
 from repro.io import commit_file
 from repro.nn.module import Module
 from repro.telemetry.core import MetricsRegistry
+from repro.telemetry.report import epoch_row
 from repro.training.callbacks import Callback
 
 #: Epoch-log prefix the resilience guard uses; matching keys are folded
@@ -108,16 +111,7 @@ class TelemetryCallback(Callback):
         self._emit(record)
 
     def on_epoch_end(self, model, epoch, logs) -> bool:
-        rec = float(logs.get("rec", 0.0))
-        kl = float(logs.get("kl", 0.0))
-        contrastive = float(logs.get("extra", 0.0))
-        record = {
-            "event": "epoch",
-            **{k: float(v) for k, v in logs.items()},
-            "epoch": int(epoch),
-            "elbo": rec + kl,
-            "contrastive": contrastive,
-        }
+        record = {"event": "epoch", **epoch_row(logs), "epoch": int(epoch)}
         self.epochs.append(self._emit(record))
         if self.registry is not None:
             for key, value in logs.items():

@@ -282,20 +282,23 @@ def build_report(
     return report
 
 
+def epoch_row(logs: dict) -> dict:
+    """One report epoch row from one epoch's logs (a ``history`` entry).
+
+    Adds ``elbo`` (``rec + kl``) and ``contrastive``, the regularizer
+    total the objective stack logs as ``extra``; the per-term values stay
+    in the row as ``objective_<name>``.
+    """
+    return {
+        **{k: float(v) for k, v in logs.items()},
+        "elbo": float(logs.get("rec", 0.0)) + float(logs.get("kl", 0.0)),
+        "contrastive": float(logs.get("extra", 0.0)),
+    }
+
+
 def epoch_rows_from_history(history: Sequence[dict]) -> list[dict]:
     """Adapt ``NeuralTopicModel.history`` entries to report epoch rows."""
-    rows = []
-    for entry in history:
-        rec = float(entry.get("rec", 0.0))
-        kl = float(entry.get("kl", 0.0))
-        rows.append(
-            {
-                **{k: float(v) for k, v in entry.items()},
-                "elbo": rec + kl,
-                "contrastive": float(entry.get("extra", 0.0)),
-            }
-        )
-    return rows
+    return [epoch_row(entry) for entry in history]
 
 
 def write_report(report: dict, path: str | Path) -> Path:
@@ -360,19 +363,22 @@ def format_report(report: dict, max_ops: int = 12) -> str:
         )
     if report["epochs"]:
         first, last = report["epochs"][0], report["epochs"][-1]
+        # One column per objective-stack term the rows carry.
+        terms = [k for k in {**first, **last} if k.startswith("objective_")]
         rows = [
             [
                 e["epoch"],
                 f"{e.get('epoch_seconds', 0.0):.3f}",
                 f"{e.get('docs_per_sec', 0.0):.0f}",
                 f"{e.get('elbo', 0.0):.3f}",
-                f"{e.get('contrastive', 0.0):.3f}",
+                *(f"{e.get(k, 0.0):.3f}" for k in terms),
             ]
             for e in (first, last)
         ]
         blocks.append(
             _format_table(
-                ["epoch", "seconds", "docs/s", "elbo", "contrastive"],
+                ["epoch", "seconds", "docs/s", "elbo"]
+                + [k[len("objective_"):] for k in terms],
                 rows,
                 title=f"epochs (first/last of {len(report['epochs'])})",
             )

@@ -10,9 +10,11 @@ the two halves of that story:
 * :class:`GuardPolicy` / :class:`TrainingGuard` — per-batch loss and
   gradient finiteness checks with an escalation ladder: **skip batch**
   → **halve the learning rate (with backoff)** → **restore the last good
-  snapshot** → **degrade to ELBO-only training** (drop the contrastive
-  term) → finally :class:`~repro.errors.TrainingDivergedError` when a
-  fault budget is configured and spent.  Every action is counted and
+  snapshot** → **degrade towards ELBO-only training** (shed the
+  objective stack's regularizer terms, e.g. ContraTopic's
+  ``contrastive``, one by name per escalation) → finally
+  :class:`~repro.errors.TrainingDivergedError` when a fault budget is
+  configured and spent.  Every action is counted and
   surfaces in the epoch logs as ``guard_*`` keys, which
   :class:`~repro.telemetry.callback.TelemetryCallback` folds into
   ``guard/*`` registry counters for ``BENCH_*.json`` reports.
@@ -51,12 +53,12 @@ class GuardPolicy:
     Each ``skips_per_escalation`` *consecutive* faulty batches climb one
     rung: first ``max_lr_backoffs`` learning-rate multiplications by
     ``lr_backoff`` (never below ``min_lr``), then up to ``max_restores``
-    restorations of the last good snapshot, then — when the model still
-    has enabled regularizer terms and ``degrade_extra_loss`` is set —
-    permanent degradation: objective-stack terms are disabled one per
-    escalation (reverse stack order, the disabled term's name lands in
-    the event log) until only the base ELBO remains.  A clean batch
-    resets the consecutive counter but not the rungs already climbed.
+    restorations of the last good snapshot, then — while the model still
+    has enabled regularizer terms — permanent degradation: objective-stack
+    terms are disabled one per escalation (reverse stack order, the
+    disabled term's name lands in the event log) until only the base ELBO
+    remains.  A clean batch resets the consecutive counter but not the
+    rungs already climbed.
 
     ``max_faults`` bounds the total number of tolerated faults (None =
     unbounded): exceeding it raises
@@ -69,7 +71,6 @@ class GuardPolicy:
     max_lr_backoffs: int = 2
     min_lr: float = 1e-8
     max_restores: int = 1
-    degrade_extra_loss: bool = True
     max_faults: int | None = None
 
     def __post_init__(self) -> None:
@@ -197,29 +198,12 @@ class TrainingGuard:
             self.optimizer.lr = lr
             self.counts["restores"] += 1
             return "restore"
-        if policy.degrade_extra_loss:
-            disabled = self._disable_one_term()
-            if disabled is not None:
-                self.counts["degradations"] += 1
-                self.degraded_terms.append(disabled)
-                return "degrade"
+        disabled = self.model.objectives.disable_next()
+        if disabled is not None:
+            self.counts["degradations"] += 1
+            self.degraded_terms.append(disabled)
+            return "degrade"
         return "skip"
-
-    def _disable_one_term(self) -> str | None:
-        """Shed one objective term (reverse stack order); returns its name.
-
-        Models on the objective pipeline degrade term by term until only
-        the base ELBO remains; a model exposing just the legacy boolean
-        switch degrades in one step, named ``extra``.  ``None`` means
-        there is nothing left to disable.
-        """
-        stack = getattr(self.model, "objectives", None)
-        if stack is not None and hasattr(stack, "disable_next"):
-            return stack.disable_next()
-        if getattr(self.model, "extra_loss_enabled", False):
-            self.model.extra_loss_enabled = False
-            return "extra"
-        return None
 
     # ------------------------------------------------------------------
     # happy path

@@ -109,8 +109,9 @@ class Trainable(Protocol):
         ...
 
 
-#: Attributes beyond the :class:`Trainable` protocol that the loop uses;
-#: every :class:`~repro.nn.module.Module`-based model has them already.
+#: Attributes beyond the :class:`Trainable` protocol that the loop uses
+#: (``objectives``: the guard's degrade rung and the checkpointed term
+#: flags); every :class:`~repro.models.base.NeuralTopicModel` has them.
 _CONTRACT_ATTRS = (
     "loss_on_batch",
     "parameters",
@@ -120,6 +121,7 @@ _CONTRACT_ATTRS = (
     "train",
     "eval",
     "on_fit_start",
+    "objectives",
 )
 
 
@@ -163,7 +165,7 @@ def capture_training_state(model) -> dict:
     state: TrainState | None = getattr(model, "_trainer", None)
     if state is None:
         raise ConfigError("training_state requires an active fit()")
-    snapshot = {
+    return {
         "epoch": int(state.epoch),
         "rng": {
             name: rng.bit_generator.state
@@ -171,16 +173,9 @@ def capture_training_state(model) -> dict:
         },
         "batch_rng": state.batch_rng.bit_generator.state,
         "history": [dict(entry) for entry in model.history],
-        "extra_loss_enabled": bool(getattr(model, "extra_loss_enabled", True)),
+        # Per-term degradation state (the guard's degrade rung).
+        "objective_terms": model.objectives.flags(),
     }
-    flags = getattr(model, "objective_flags", None)
-    if callable(flags):
-        # Per-term degradation state; the legacy bool above stays for
-        # checkpoints read by older code paths.
-        snapshot["objective_terms"] = {
-            str(name): bool(enabled) for name, enabled in flags().items()
-        }
-    return snapshot
 
 
 def restore_training_state(
@@ -203,6 +198,19 @@ def restore_training_state(
             "are written by CheckpointCallback or "
             "save_training_checkpoint()"
         )
+    terms = state.get("objective_terms")
+    own = model.objectives.term_names()
+    if terms is None or not set(terms) <= set(own):
+        found = (
+            "no objective_terms (written before per-term flags)"
+            if terms is None
+            else f"objective terms {sorted(set(terms) - set(own))}"
+        )
+        raise CheckpointError(
+            f"{path} carries {found}, which {type(model).__name__} cannot "
+            f"resume (its terms: {list(own)}); load its parameters with "
+            "load_checkpoint and train afresh"
+        )
     streams = model.rng_streams()
     for name, rng_state in state["rng"].items():
         if name not in streams:
@@ -213,15 +221,7 @@ def restore_training_state(
         streams[name].bit_generator.state = rng_state
     batch_rng.bit_generator.state = state["batch_rng"]
     model.history = [dict(entry) for entry in state["history"]]
-    terms = state.get("objective_terms")
-    if terms is not None and hasattr(model, "apply_objective_flags"):
-        model.apply_objective_flags(
-            {str(name): bool(enabled) for name, enabled in terms.items()}
-        )
-    else:
-        # Legacy (pre-objective-stack) checkpoints carry one bool; the
-        # setter maps it onto every term, bitwise-matching the old runs.
-        model.extra_loss_enabled = bool(state.get("extra_loss_enabled", True))
+    model.objectives.apply_flags(terms)
     return int(state["epoch"]) + 1
 
 

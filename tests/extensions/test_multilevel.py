@@ -35,18 +35,18 @@ class TestConfig:
 
 
 class TestLossComposition:
-    def test_extra_loss_combines_both_levels(
+    def test_stack_combines_both_levels(
         self, tiny_corpus, tiny_embeddings, tiny_npmi, fast_config
     ):
         model = _model(tiny_corpus, tiny_embeddings, tiny_npmi, fast_config)
         model.on_fit_start(tiny_corpus)
-        bow = tiny_corpus.bow_matrix()[:8]
-        theta, _, _ = model.encode_theta(bow, sample=False)
-        beta = model.beta()
-        combined = model.extra_loss(theta, beta, bow).item()
-        doc_only = model.document_contrastive_loss(theta, bow).item()
-        assert combined != pytest.approx(doc_only)
-        assert np.isfinite(combined)
+        assert model.objectives.term_names() == ("contrastive", "document")
+        _, parts = model.loss_on_batch(tiny_corpus.bow_matrix()[:8])
+        assert parts["objective_document"] > 0.0
+        assert parts["extra"] == (
+            parts["objective_contrastive"] + parts["objective_document"]
+        )
+        assert np.isfinite(parts["extra"])
 
     def test_lambda_document_zero_reduces_to_contratopic(
         self, tiny_corpus, tiny_embeddings, tiny_npmi, fast_config
@@ -55,19 +55,11 @@ class TestLossComposition:
             tiny_corpus, tiny_embeddings, tiny_npmi, fast_config, lambda_document=0.0
         )
         model.on_fit_start(tiny_corpus)
-        model.eval()
-        bow = tiny_corpus.bow_matrix()[:8]
-        theta, _, _ = model.encode_theta(bow, sample=False)
-        beta = model.beta()
-        # with zero document weight, extra == topic term alone; compare
-        # against the parent class's term computed on the same beta (the
-        # Gumbel noise differs per call, so compare with sampling disabled)
-        model.regularizer.use_sampling = False
-        combined = model.extra_loss(theta, beta, bow).item()
-        topic_only = (
-            model.contrastive_loss(beta).item() * model.regularizer.lambda_weight
-        )
-        assert combined == pytest.approx(topic_only, rel=1e-9)
+        _, parts = model.loss_on_batch(tiny_corpus.bow_matrix()[:8])
+        # with zero document weight, the regularizer total is the topic
+        # term alone
+        assert parts["objective_document"] == 0.0
+        assert parts["extra"] == parts["objective_contrastive"]
 
     def test_document_views_partition_counts(
         self, tiny_corpus, tiny_embeddings, tiny_npmi, fast_config
@@ -75,7 +67,7 @@ class TestLossComposition:
         model = _model(tiny_corpus, tiny_embeddings, tiny_npmi, fast_config)
         model.on_fit_start(tiny_corpus)
         bow = tiny_corpus.bow_matrix()[:10]
-        positive, negative = model._document_views(bow)
+        positive, negative = model._document.views(bow)
         np.testing.assert_allclose(positive + negative, bow)
 
 
@@ -109,7 +101,7 @@ class TestTraining:
             model.fit(tiny_corpus)
             model.eval()
             bow = tiny_corpus.bow_matrix()[:32]
-            positive, _ = model._document_views(bow)
+            positive, _ = model._document.views(bow)
             theta, _, _ = model.encode_theta(bow, sample=False)
             theta_pos, _, _ = model.encode_theta(positive, sample=False)
             a = theta.data / (np.linalg.norm(theta.data, axis=1, keepdims=True) + 1e-12)

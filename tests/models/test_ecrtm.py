@@ -28,10 +28,11 @@ class TestEcrtm:
             tiny_embeddings.vectors,
             ecr_weight=2.0,
         )
-        bow = tiny_corpus.bow_matrix()[:4]
-        theta, _, _ = model.encode_theta(bow, sample=False)
-        extra = model.extra_loss(theta, model.beta(), bow).item()
-        assert extra == pytest.approx(2.0 * model.clustering_regularizer().item(), rel=1e-6)
+        assert model.objectives.term("ecr").weight == 2.0
+        _, parts = model.loss_on_batch(tiny_corpus.bow_matrix()[:4])
+        assert parts["objective_ecr"] == pytest.approx(
+            2.0 * model.clustering_regularizer().item(), rel=1e-6
+        )
 
     def test_trains_without_collapse(self, tiny_corpus, tiny_embeddings, fast_config):
         model = ECRTM(tiny_corpus.vocab_size, fast_config, tiny_embeddings.vectors)

@@ -29,10 +29,10 @@ class TestNTMR:
             (fast_config.num_topics, tiny_corpus.vocab_size),
             1.0 / tiny_corpus.vocab_size,
         )
-        bow = tiny_corpus.bow_matrix()[:4]
-        theta = Tensor(np.full((4, fast_config.num_topics), 1.0 / fast_config.num_topics))
-        loss_coherent = model.extra_loss(theta, Tensor(coherent), bow).item()
-        loss_flat = model.extra_loss(theta, Tensor(flat), bow).item()
+        term = model.objectives.term("embedding_coherence")
+        assert term.weight == model.coherence_weight
+        loss_coherent = term.objective.loss(Tensor(coherent)).item()
+        loss_flat = term.objective.loss(Tensor(flat)).item()
         assert loss_coherent < loss_flat
 
     def test_trains_and_produces_topics(self, tiny_corpus, tiny_embeddings, fast_config):
@@ -49,17 +49,17 @@ class TestVTMRL:
     def test_reward_is_mean_pairwise_npmi(self, tiny_corpus, tiny_npmi, fast_config):
         model = VTMRL(tiny_corpus.vocab_size, fast_config, tiny_npmi, sample_words=4)
         samples = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
-        rewards = model._reward(samples)
+        rewards = model._reinforce.rewards(samples)
         expected = [tiny_npmi.mean_pairwise(row) for row in samples]
         np.testing.assert_allclose(rewards, expected)
 
     def test_baseline_tracks_rewards(self, tiny_corpus, tiny_npmi, fast_config):
         model = VTMRL(tiny_corpus.vocab_size, fast_config, tiny_npmi)
-        bow = tiny_corpus.bow_matrix()[:8]
-        theta, _, _ = model.encode_theta(bow, sample=False)
-        assert model._baseline == 0.0
-        model.extra_loss(theta, model.beta(), bow)
-        assert model._baseline != 0.0
+        assert model.reward_baseline == 0.0
+        model.loss_on_batch(tiny_corpus.bow_matrix()[:8])
+        assert model.reward_baseline != 0.0
+        # a buffer: the state dict (checkpoints, guard restores) carries it
+        assert model.state_dict()["buffer::reward_baseline"] == model.reward_baseline
 
     def test_trains(self, tiny_corpus, tiny_npmi, fast_config):
         model = VTMRL(tiny_corpus.vocab_size, fast_config, tiny_npmi)
@@ -72,7 +72,7 @@ class TestCLNTM:
         model = CLNTM(tiny_corpus.vocab_size, fast_config)
         model.on_fit_start(tiny_corpus)
         bow = tiny_corpus.bow_matrix()[:6]
-        positive, negative = model._augment(bow)
+        positive, negative = model._objective.views(bow)
         # views partition the original counts
         np.testing.assert_allclose(positive + negative, bow)
         # positive keeps a minority of word types (the salient ones)
@@ -87,7 +87,7 @@ class TestCLNTM:
         bow = np.zeros((1, toy_corpus.vocab_size))
         bow[0, 0] = 1.0  # appears in 3 docs
         bow[0, 3] = 1.0  # appears in 3 docs
-        positive, _ = model._augment(bow)
+        positive, _ = model._objective.views(bow)
         assert positive[0].sum() > 0
 
     def test_extra_loss_positive_scalar(self, tiny_corpus, fast_config):
@@ -95,7 +95,7 @@ class TestCLNTM:
         model.on_fit_start(tiny_corpus)
         bow = tiny_corpus.bow_matrix()[:8]
         theta, _, _ = model.encode_theta(bow, sample=False)
-        loss = model.extra_loss(theta, model.beta(), bow)
+        loss = model._objective.infonce(model, theta, bow)
         assert loss.shape == ()
         assert np.isfinite(loss.item())
 

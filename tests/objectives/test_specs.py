@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigError
-from repro.models import ProdLDA
+from repro.models import CLNTM, ProdLDA
 from repro.objectives import (
     ObjectiveSpec,
     attach_objectives,
@@ -136,6 +136,6 @@ class TestTrainerAttachment:
 
     def test_none_keeps_the_model_declared_stack(self, tiny_corpus, fast_config):
         config = replace(fast_config, epochs=2)
-        model = ProdLDA(tiny_corpus.vocab_size, config)
+        model = CLNTM(tiny_corpus.vocab_size, config)
         Trainer(RunSpec()).fit(model, tiny_corpus)
-        assert model.objectives.term_names() == ("extra",)
+        assert model.objectives.term_names() == ("clntm",)

@@ -27,7 +27,17 @@ from repro.objectives import (
 
 
 class _LegacyLossMixin:
-    """The pre-refactor ``NeuralTopicModel.loss_on_batch`` body, verbatim."""
+    """The pre-refactor ``NeuralTopicModel.loss_on_batch`` body, verbatim.
+
+    It carries the removed ``extra_loss`` hook and its on/off switch too:
+    the base hook body (no regularizer) here, and each model's override in
+    its ``_Legacy*`` subclass.
+    """
+
+    extra_loss_enabled = True
+
+    def extra_loss(self, theta, beta, bow):
+        return None
 
     def loss_on_batch(self, bow):
         theta, mu, logvar = self.encode_theta(bow, sample=True)
@@ -55,7 +65,8 @@ class _LegacyETM(_LegacyLossMixin, ETM):
 
 
 class _LegacyContraTopic(_LegacyLossMixin, ContraTopic):
-    pass
+    def extra_loss(self, theta, beta, bow):
+        return self.contrastive_loss(beta) * self.regularizer.lambda_weight
 
 
 def _grad_map(model) -> dict[str, np.ndarray]:
@@ -139,10 +150,10 @@ class TestBitwiseOracles:
         stacked = build(ContraTopic)
         legacy = build(_LegacyContraTopic)
         _assert_bitwise_batch(stacked, legacy, bow)  # one regularized step
-        stacked.extra_loss_enabled = False
+        stacked.objectives.set_enabled("contrastive", False)
         legacy.extra_loss_enabled = False
         _assert_bitwise_batch(stacked, legacy, bow)  # ELBO-only, streams aligned
-        stacked.extra_loss_enabled = True
+        stacked.objectives.set_enabled("contrastive", True)
         legacy.extra_loss_enabled = True
         _assert_bitwise_batch(stacked, legacy, bow)  # re-enabled, still aligned
 
@@ -184,24 +195,16 @@ class TestStackSemantics:
         assert stack.disable_next() == "second"
         assert stack.disable_next() == "first"
         assert stack.disable_next() is None
-        assert not stack.any_enabled()
-
-    def test_apply_flags_bool_and_dict(self):
-        stack = self._two_term_stack()
-        stack.apply_flags(False)
         assert stack.flags() == {"first": False, "second": False}
-        stack.apply_flags({"second": True})
-        assert stack.flags() == {"first": False, "second": True}
-        assert stack.any_enabled() and not stack.all_enabled()
 
-    def test_extra_loss_enabled_property_round_trip(self, fast_config):
-        model = ProdLDA(12, fast_config)
-        assert model.extra_loss_enabled
-        model.extra_loss_enabled = False
-        assert not model.extra_loss_enabled
-        assert model.objective_flags() == {"extra": False}
-        model.apply_objective_flags({"extra": True})
-        assert model.extra_loss_enabled
+    def test_apply_flags_sets_the_named_terms(self):
+        stack = self._two_term_stack()
+        stack.apply_flags({"first": False})
+        assert stack.flags() == {"first": False, "second": True}
+        stack.apply_flags({"first": True, "second": False})
+        assert stack.flags() == {"first": True, "second": False}
+        with pytest.raises(ConfigError):
+            stack.apply_flags({"extra": False})
 
     def test_parts_carry_named_term_and_aggregate(
         self, tiny_corpus, fast_config

@@ -5,7 +5,12 @@ import io
 import pytest
 
 from repro.models.prodlda import ProdLDA
-from repro.telemetry import MetricsRegistry, TelemetryCallback, read_jsonl
+from repro.telemetry import (
+    MetricsRegistry,
+    TelemetryCallback,
+    epoch_rows_from_history,
+    read_jsonl,
+)
 from repro.training import TelemetryCallback as ReexportedCallback
 
 
@@ -58,6 +63,17 @@ class TestJsonlRoundTrip:
             assert record["contrastive"] == pytest.approx(record.get("extra", 0.0))
             assert record["epoch_seconds"] > 0
             assert record["docs_per_sec"] > 0
+
+    def test_epoch_records_are_the_report_epoch_rows(self, run):
+        model, callback, _, _ = run
+        rows = epoch_rows_from_history(model.history)
+        for record, row in zip(callback.epochs, rows, strict=True):
+            assert record == {
+                "run": "tiny",
+                "event": "epoch",
+                **row,
+                "epoch": int(row["epoch"]),
+            }
 
     def test_fit_end_totals(self, run, fast_config):
         _, _, _, records = run

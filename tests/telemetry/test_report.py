@@ -18,6 +18,7 @@ from repro.telemetry import (
     load_report,
     write_report,
 )
+from repro.telemetry.report import _epoch_totals, epoch_row
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -89,6 +90,58 @@ class TestBuildReport:
         assert "matmul" in text
         assert "docs/s" in text
         assert "totals" in text
+
+
+    def test_format_report_prints_one_column_per_objective_term(self):
+        def header(epochs):
+            text = format_report(build_report("demo", epochs=epochs))
+            return next(
+                line.split() for line in text.splitlines() if line.startswith("epoch ")
+            )
+
+        assert header(_epochs()) == ["epoch", "seconds", "docs/s", "elbo"]
+        terms = [
+            {**row, "objective_contrastive": 40.0, "objective_document": 10.0}
+            for row in _epochs()
+        ]
+        assert header(terms) == [
+            "epoch", "seconds", "docs/s", "elbo", "contrastive", "document",
+        ]
+
+
+#: Checked-in baselines that carry an epoch table.
+BASELINES_WITH_EPOCHS = [
+    path
+    for path in sorted((REPO / "benchmarks" / "baselines").glob("BENCH_*.json"))
+    if json.loads(path.read_text(encoding="utf-8")).get("epochs")
+]
+
+
+def test_some_baseline_carries_epoch_rows():
+    assert BASELINES_WITH_EPOCHS
+
+
+@pytest.mark.parametrize("path", BASELINES_WITH_EPOCHS, ids=lambda path: path.name)
+def test_checked_in_epoch_rows_rederive_identical_totals(path):
+    """`epoch_row` reproduces every checked-in epoch table and its totals."""
+    report = load_report(path)
+    rows = []
+    for row in report["epochs"]:
+        logs = {
+            key: value
+            for key, value in row.items()
+            if key not in ("run", "event", "elbo", "contrastive")
+        }
+        rebuilt = {
+            "run": row["run"],
+            "event": row["event"],
+            **epoch_row(logs),
+            "epoch": row["epoch"],
+        }
+        assert rebuilt == row
+        rows.append(rebuilt)
+    derived = _epoch_totals(rows)
+    assert derived == {key: report["totals"][key] for key in derived}
 
 
 class TestSerialisation:

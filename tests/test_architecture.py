@@ -14,6 +14,8 @@ losses.  These tests pin that boundary so it cannot silently erode:
   regularizer math — regularizers live in :mod:`repro.objectives` and
   models compose them by overriding ``build_objectives`` (so the guard's
   per-term shedding, checkpoint flags and telemetry see every term);
+* every registry neural model declares its regularizer, if any, as a
+  named term of its objective stack;
 * :mod:`repro.objectives` itself stays below the training layer: its
   modules never hold trainer / optimizer / guard / fault machinery.
 """
@@ -28,6 +30,7 @@ import repro.core  # noqa: F401
 import repro.extensions  # noqa: F401
 import repro.models
 import repro.objectives
+from repro.models import available_models, build_model
 from repro.models.base import NeuralTopicModel
 
 #: Modules whose machinery must not leak into the models layer.
@@ -104,6 +107,44 @@ def test_no_library_model_overrides_loss_on_batch():
         f"{offenders} override NeuralTopicModel.loss_on_batch; add terms "
         "by overriding build_objectives with repro.objectives entries"
     )
+
+
+#: The regularizer terms each registry neural model declares.
+DECLARED_TERMS = {
+    "prodlda": (),
+    "wlda": (),
+    "etm": (),
+    "nstm": (),
+    "wete": (),
+    "ntmr": ("embedding_coherence",),
+    "vtmrl": ("reinforce",),
+    "clntm": ("clntm",),
+    "ecrtm": ("ecr",),
+    "contratopic": ("contrastive",),
+}
+
+
+def test_every_library_regularizer_is_a_named_stack_term(
+    tiny_corpus, tiny_embeddings, tiny_npmi, fast_config
+):
+    """Each regularizer is a named term of the model's objective stack.
+
+    The stack is the only way a loss term enters training, so pinning the
+    term names here keeps the guard's per-term degradation, the
+    checkpointed term flags and the per-term telemetry from missing one.
+    """
+    declared = {}
+    for name in available_models():
+        model = build_model(
+            name,
+            tiny_corpus.vocab_size,
+            fast_config,
+            word_embeddings=tiny_embeddings.vectors,
+            npmi=tiny_npmi,
+        )
+        if isinstance(model, NeuralTopicModel):
+            declared[name] = model.objectives.term_names()
+    assert declared == DECLARED_TERMS
 
 
 def _objectives_modules() -> list[types.ModuleType]:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, TrainingDivergedError
 from repro.io import restore_checkpoint
-from repro.models import ProdLDA
+from repro.models import CLNTM, ProdLDA
 from repro.nn import Adam, SGD
 from repro.objectives import ObjectiveSpec, attach_objectives
 from repro.training.faults import FaultInjector, interrupted_writes
@@ -19,9 +19,9 @@ from repro.training.resilience import (
 from repro.training.trainer import capture_training_state, restore_training_state
 
 
-def _guarded(fast_config, **policy_kwargs):
-    """A (guard, model, optimizer) triple over an untrained ProdLDA."""
-    model = ProdLDA(30, fast_config)
+def _guarded(fast_config, model_cls=ProdLDA, **policy_kwargs):
+    """A (guard, model, optimizer) triple over an untrained model."""
+    model = model_cls(30, fast_config)
     optimizer = SGD(model.parameters(), lr=0.1)
     guard = TrainingGuard(GuardPolicy(**policy_kwargs), model, optimizer)
     return guard, model, optimizer
@@ -115,14 +115,28 @@ class TestEscalationLadder:
 
     def test_final_rung_degrades_to_elbo_only(self, fast_config):
         guard, model, _ = _guarded(
-            fast_config, skips_per_escalation=1, max_lr_backoffs=0, max_restores=0
+            fast_config,
+            model_cls=CLNTM,
+            skips_per_escalation=1,
+            max_lr_backoffs=0,
+            max_restores=0,
         )
-        assert model.extra_loss_enabled
+        assert model.objectives.flags() == {"clntm": True}
         assert guard.handle_fault("loss") == "degrade"
-        assert not model.extra_loss_enabled
+        assert model.objectives.flags() == {"clntm": False}
         assert guard.counts["degradations"] == 1
         # the ladder is exhausted: further escalations fall back to skipping
         assert guard.handle_fault("loss") == "skip"
+
+    def test_termless_model_ladder_ends_at_skip(self, fast_config):
+        guard, model, _ = _guarded(
+            fast_config, skips_per_escalation=1, max_lr_backoffs=0, max_restores=0
+        )
+        assert model.objectives.term_names() == ()
+        assert guard.handle_fault("loss") == "skip"  # nothing to shed
+        assert guard.handle_fault("loss") == "skip"
+        assert guard.counts["degradations"] == 0
+        assert guard.degraded_terms == []
 
     def test_fault_budget_raises(self, fast_config):
         guard, _, _ = _guarded(fast_config, max_faults=2)
@@ -153,11 +167,15 @@ class TestPerTermDegradation:
 
     def test_degrade_entry_names_the_shed_term(self, fast_config):
         guard, _, _ = _guarded(
-            fast_config, skips_per_escalation=1, max_lr_backoffs=0, max_restores=0
+            fast_config,
+            model_cls=CLNTM,
+            skips_per_escalation=1,
+            max_lr_backoffs=0,
+            max_restores=0,
         )
         assert guard.handle_fault("loss") == "degrade"
-        assert guard.actions[-1] == "loss:degrade:extra"
-        assert guard.degraded_terms == ["extra"]
+        assert guard.actions[-1] == "loss:degrade:clntm"
+        assert guard.degraded_terms == ["clntm"]
 
     def test_multi_term_model_sheds_in_reverse_stack_order(self, fast_config):
         guard, model = self._two_term_guarded(
@@ -187,7 +205,7 @@ class TestPerTermDegradation:
             "coherence": True,
             "vicreg": False,
         }
-        assert snapshot["extra_loss_enabled"] is True  # any term still on
+        assert "extra_loss_enabled" not in snapshot
 
     def test_restore_round_trips_degraded_flags(
         self, tiny_corpus, fast_config, tmp_path

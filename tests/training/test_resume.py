@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
 from repro.io import CheckpointError, save_checkpoint
-from repro.models import ETM, ProdLDA
+from repro.models import CLNTM, ETM, ProdLDA, build_model
 from repro.training.resilience import CheckpointCallback
+from repro.training.trainer import capture_training_state
 
 
 def _assert_bitwise_equal(full, resumed):
@@ -62,6 +63,32 @@ class TestBitwiseResume:
         resumed.fit(tiny_corpus, resume_from=callback.last_path)
         _assert_bitwise_equal(full, resumed)
 
+    @pytest.mark.parametrize("name", ["vtmrl", "ntmr", "ecrtm"])
+    def test_regularized_baseline_resume_matches_uninterrupted_run(
+        self, name, tiny_corpus, tiny_embeddings, tiny_npmi, fast_config, tmp_path
+    ):
+        # Each carries its regularizer as a stack term; VTMRL's REINFORCE
+        # baseline is training state too and must travel in the checkpoint.
+        def make(config):
+            return build_model(
+                name,
+                tiny_corpus.vocab_size,
+                config,
+                word_embeddings=tiny_embeddings.vectors,
+                npmi=tiny_npmi,
+            )
+
+        full = make(fast_config)
+        full.fit(tiny_corpus)
+
+        interrupted = make(dataclasses.replace(fast_config, epochs=2))
+        callback = CheckpointCallback(tmp_path / "ckpt")
+        interrupted.fit(tiny_corpus, callbacks=[callback])
+
+        resumed = make(fast_config)
+        resumed.fit(tiny_corpus, resume_from=callback.last_path)
+        _assert_bitwise_equal(full, resumed)
+
     def test_resume_restores_history_and_epoch_numbering(
         self, tiny_corpus, fast_config, tmp_path
     ):
@@ -101,3 +128,50 @@ class TestResumeValidation:
         fresh.rng_streams = lambda: {"renamed": fresh._rng}
         with pytest.raises(CheckpointError):
             fresh.fit(tiny_corpus, resume_from=callback.last_path)
+
+    def _rewritten_checkpoint(self, corpus, config, path, edit):
+        """A resumable CLNTM checkpoint whose trainer state ``edit`` alters."""
+        model = CLNTM(corpus.vocab_size, dataclasses.replace(config, epochs=1))
+        model.fit(corpus)
+        state = capture_training_state(model)
+        edit(state)
+        save_checkpoint(
+            model, path, optimizer=model._trainer.optimizer, trainer_state=state
+        )
+        return path
+
+    def test_stale_objective_term_is_rejected(
+        self, tiny_corpus, fast_config, tmp_path
+    ):
+        # e.g. the {"extra": true} flag older releases wrote for every model
+        path = self._rewritten_checkpoint(
+            tiny_corpus,
+            fast_config,
+            tmp_path / "stale.npz",
+            lambda state: state["objective_terms"].update(extra=True),
+        )
+        fresh = CLNTM(tiny_corpus.vocab_size, fast_config)
+        with pytest.raises(CheckpointError) as info:
+            fresh.fit(tiny_corpus, resume_from=path)
+        message = str(info.value)
+        assert "stale.npz" in message
+        assert "['extra']" in message
+        assert "its terms: ['clntm']" in message
+
+    def test_pre_stack_checkpoint_is_rejected(
+        self, tiny_corpus, fast_config, tmp_path
+    ):
+        def legacy_flag(state):
+            del state["objective_terms"]
+            state["extra_loss_enabled"] = True
+
+        path = self._rewritten_checkpoint(
+            tiny_corpus, fast_config, tmp_path / "pre_stack.npz", legacy_flag
+        )
+        fresh = CLNTM(tiny_corpus.vocab_size, fast_config)
+        with pytest.raises(CheckpointError) as info:
+            fresh.fit(tiny_corpus, resume_from=path)
+        message = str(info.value)
+        assert "pre_stack.npz" in message
+        assert "no objective_terms" in message
+        assert "its terms: ['clntm']" in message
