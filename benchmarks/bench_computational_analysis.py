@@ -23,6 +23,7 @@ from repro.core import ContraTopicConfig, npmi_kernel
 from repro.core.contratopic import ContraTopic
 from repro.experiments.context import ExperimentContext
 from repro.experiments.reporting import format_table
+from repro.experiments.suites import TRAINING_TOTALS
 from repro.metrics import compute_npmi_matrix
 from repro.telemetry import MetricsRegistry, TelemetryCallback, load_report
 from repro.tensor import default_dtype
@@ -116,6 +117,7 @@ def test_computational_analysis(benchmark, settings_nytimes, profile_into_suite)
             "npmi_precompute_seconds": npmi_seconds,
             "kernel_bytes": kernel_bytes,
         },
+        declared=TRAINING_TOTALS,
     )
 
     # The emitted report must be a complete perf-guard input: per-op

@@ -1,57 +1,19 @@
 """Fused-kernel microbenchmark: the per-op half of the CI perf guard.
 
-Runs :func:`repro.telemetry.microbench.run_ops_microbench` — forward and
+Runs the ``ops`` suite of :mod:`repro.experiments.suites` — forward and
 backward of every kernel in ``PROFILED_FUSED_OPS`` on fixed seeded
-shapes — and emits ``BENCH_ops.json``, which
-``benchmarks/check_regression.py`` compares against the checked-in
-baseline.  Unlike the end-to-end training benchmarks, this isolates each
-kernel, so a regression points at the offending op directly.
+shapes, checked to have run at least ``repeats`` times each — and emits
+``BENCH_ops.json``, which ``benchmarks/check_regression.py`` compares
+against the checked-in baseline.  Unlike the end-to-end training
+benchmarks, this isolates each kernel, so a regression points at the
+offending op directly.
 """
 
-from benchmarks.conftest import BENCH_DTYPE, FAST, emit_report, print_block
-from repro.experiments.reporting import format_table
-from repro.telemetry import MetricsRegistry, load_report
-from repro.telemetry.microbench import DEFAULT_REPEATS, run_ops_microbench
-from repro.tensor import PROFILED_FUSED_OPS
+from benchmarks.conftest import BENCH_DTYPE, FAST
+from repro.experiments.suites import SuiteSettings
+from repro.telemetry.microbench import DEFAULT_REPEATS
 
 
-def test_fused_ops_microbench(benchmark, profile_into_suite):
-    registry = MetricsRegistry()
-    repeats = 5 if FAST else DEFAULT_REPEATS
-
-    def run():
-        # profile_into_suite nests around the microbench's own
-        # profile_ops block, fanning the rows into BENCH_suite.json too.
-        with profile_into_suite(registry):
-            run_ops_microbench(registry=None, repeats=repeats, dtype=BENCH_DTYPE)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    report_path = emit_report(
-        "ops",
-        registry=registry,
-        meta={"suite": "ops", "dtype": BENCH_DTYPE, "repeats": repeats, "seed": 0},
-    )
-    report = load_report(report_path)
-    rows = {r["op"]: r for r in report["ops"]}
-    table = []
-    for op in PROFILED_FUSED_OPS:
-        # Every fused kernel ran `repeats` times, forward and backward.
-        assert rows[op]["calls"] >= repeats, op
-        assert rows[op]["total_seconds"] > 0, op
-        assert rows[op]["backward_seconds"] > 0, op
-        table.append(
-            [
-                op,
-                rows[op]["calls"],
-                f"{1e6 * rows[op]['mean_seconds']:.1f}",
-                f"{1e6 * rows[op]['backward_seconds'] / rows[op]['calls']:.1f}",
-            ]
-        )
-    print_block(
-        format_table(
-            ["fused op", "calls", "fwd µs/call", "bwd µs/call"],
-            table,
-            title=f"fused kernel microbenchmark ({BENCH_DTYPE})",
-        )
-    )
+def test_fused_ops_microbench(benchmark, run_suite):
+    settings = SuiteSettings(repeats=5 if FAST else DEFAULT_REPEATS, dtype=BENCH_DTYPE)
+    benchmark.pedantic(run_suite, args=("ops", settings), rounds=1, iterations=1)

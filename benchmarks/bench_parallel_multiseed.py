@@ -1,133 +1,45 @@
 """Multi-seed evaluation wall-clock: serial vs process-parallel.
 
 The §V.F protocol (several seeds per reported metric) is the repo's
-biggest embarrassingly-parallel loop.  This benchmark runs the *same*
+biggest embarrassingly-parallel loop.  This benchmark runs the
+``multiseed`` suite of :mod:`repro.experiments.suites`: the *same*
 5-seed ContraTopic evaluation twice — ``workers=1`` (the exact serial
-path) and ``workers=N`` over :class:`repro.parallel.ParallelMap` — and
-asserts the parallel contract:
-
-* the merged metrics, per-seed statuses and stds are *identical* (the
-  fan-out must be a pure wall-clock optimisation), always;
-* on an adequately-parallel machine (>= 4 cores, strict mode) the
-  parallel run is at least 2x faster.
+path) and ``workers=N`` over :class:`repro.parallel.ParallelMap` — with
+the suite's check that the merged metrics, per-seed statuses and stds
+are *identical* (the fan-out must be a pure wall-clock optimisation).
+On an adequately-parallel machine (>= 4 cores, strict mode) it asserts
+that the parallel run is at least 2x faster.
 
 Both wall-clocks (and their ratio) land in the report totals as
 ``multiseed_serial_seconds`` / ``multiseed_parallel_seconds`` /
-``multiseed_speedup``, which ``benchmarks/check_regression.py`` gates
-against the checked-in baseline.
+``multiseed_speedup`` of ``BENCH_multiseed.json``; the session's
+``BENCH_suite.json`` carries them too, and
+``benchmarks/check_regression.py`` gates it against the checked-in
+baseline.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
-from benchmarks.conftest import BENCH_DTYPE, STRICT, emit_report, print_block
-from repro.experiments.context import ExperimentContext
-from repro.parallel import resolve_workers
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import MULTISEED_PARALLEL_KEY, MULTISEED_SERIAL_KEY
-from repro.tensor import default_dtype
-from repro.training.protocol import multi_seed_evaluation
-
-NUM_SEEDS = 5
+from benchmarks.conftest import BENCH_DTYPE, STRICT
+from repro.experiments.suites import SuiteSettings
 
 #: Acceptance target on a 4-core runner; only asserted when the machine
 #: can physically deliver it (and in strict mode — under fast/smoke
 #: scale the per-seed work is too small to beat the fork overhead).
 SPEEDUP_TARGET = 2.0
 
-_RESULT_FIELDS = (
-    "coherence",
-    "diversity",
-    "km_purity",
-    "km_nmi",
-    "coherence_std",
-    "diversity_std",
-    "km_purity_std",
-)
-
-
-def _assert_identical(serial, parallel) -> None:
-    assert serial.seed_status == parallel.seed_status
-    assert serial.diverged == parallel.diverged
-    for field in _RESULT_FIELDS:
-        a, b = getattr(serial, field), getattr(parallel, field)
-        assert a.keys() == b.keys(), field
-        for key in a:
-            fa, fb = float(a[key]), float(b[key])
-            assert fa == fb or (fa != fa and fb != fb), (
-                f"{field}[{key}] differs: serial {fa} vs parallel {fb}"
-            )
-
 
 def test_multiseed_parallel_matches_serial_and_wins_wall_clock(
-    settings_20ng, bench_registry
+    settings_20ng, run_suite
 ):
-    workers = resolve_workers(None)
-    context = ExperimentContext(settings_20ng)
-    factory = context.factory("contratopic")
-    registry = MetricsRegistry()
-
-    def evaluate(n: int, seeds=tuple(range(NUM_SEEDS))):
-        with default_dtype(BENCH_DTYPE):
-            return multi_seed_evaluation(
-                factory,
-                context.dataset.train,
-                context.dataset.test,
-                context.npmi_test,
-                seeds=seeds,
-                model_name="contratopic",
-                cluster_counts=(20,),
-                workers=n,
-                registry=registry,
-            )
-
-    # Warm the shared caches (corpus, NPMI, embeddings) outside the
-    # timed region so the serial leg doesn't pay one-time costs the
-    # parallel leg then inherits for free.
-    evaluate(1, seeds=(0,))
-
-    runs: dict[str, tuple] = {}
-    for key, n in ((MULTISEED_SERIAL_KEY, 1), (MULTISEED_PARALLEL_KEY, workers)):
-        start = time.perf_counter()
-        result = evaluate(n)
-        runs[key] = (result, time.perf_counter() - start)
-        registry.record_seconds(key, runs[key][1], absolute=True)
-
-    serial, serial_seconds = runs[MULTISEED_SERIAL_KEY]
-    parallel, parallel_seconds = runs[MULTISEED_PARALLEL_KEY]
-    _assert_identical(serial, parallel)
-    assert all(status == "ok" for status in serial.seed_status.values())
-
-    speedup = serial_seconds / parallel_seconds
-    print_block(
-        f"multi-seed evaluation ({NUM_SEEDS} seeds, {os.cpu_count()} cores)\n"
-        f"  serial (workers=1):      {serial_seconds:8.2f}s\n"
-        f"  parallel (workers={workers}):   {parallel_seconds:8.2f}s\n"
-        f"  speedup:                 {speedup:8.2f}x\n"
-        f"  metrics: identical (checked field by field)"
+    settings = SuiteSettings(
+        experiment=settings_20ng, num_seeds=5, dtype=BENCH_DTYPE
     )
-
-    # Fold the stage timers and the workers' merged task telemetry into
-    # the session registry exactly once, so BENCH_suite.json carries the
-    # multiseed_* totals.
-    bench_registry.merge(registry)
-    emit_report(
-        "parallel_multiseed",
-        registry=registry,
-        meta={
-            "suite": "parallel_multiseed",
-            "dataset": settings_20ng.dataset,
-            "num_seeds": NUM_SEEDS,
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "dtype": BENCH_DTYPE,
-            "speedup": speedup,
-            "metrics": parallel.summary(),
-        },
-    )
-
+    report = run_suite("multiseed", settings)
+    workers = report["meta"]["workers"]
+    speedup = report["totals"]["multiseed_speedup"]
     if STRICT and workers >= 4 and (os.cpu_count() or 1) >= 4:
         assert speedup >= SPEEDUP_TARGET, (
             f"{workers}-worker run only {speedup:.2f}x faster than serial "

@@ -4,11 +4,13 @@ The composable objective pipeline (:mod:`repro.objectives`) makes the
 paper's topic-wise contrastive term one entry in a registry of rival
 regularizers — the CLNTM document-wise InfoNCE (Nguyen & Luu 2021), the
 diversity-aware coherence regularizer (Li et al. 2023) and a VICReg-style
-latent regularizer (Xu et al. 2025).  This benchmark runs the sweep the
-refactor exists for: the *same* ETM backbone trains once per objective
-(plus the pure-ELBO control) under identical ``RunSpec`` settings, each
-row averaged over several seeds fanned out in parallel, and the §V.B
-coherence / diversity / km-Purity protocol ranks the results.
+latent regularizer (Xu et al. 2025).  The ``regularizers`` suite of
+:mod:`repro.experiments.suites` runs the sweep the refactor exists for:
+the *same* ETM backbone trains once per objective (plus the pure-ELBO
+control) under identical ``RunSpec`` settings, each row averaged over
+several seeds fanned out in parallel, and the §V.B coherence / diversity
+/ km-Purity protocol ranks the results.  The suite checks completeness:
+one row per objective, every metric finite, no failed/diverged seeds.
 
 The report roll-up carries ``regularizers_wall_seconds`` (the whole
 sweep's wall-clock), which ``benchmarks/check_regression.py`` gates
@@ -16,81 +18,35 @@ against ``benchmarks/baselines/BENCH_regularizers.json``; the leaderboard
 rows themselves land in the report's ``meta`` so the checked-in baseline
 doubles as the reproduction record.
 
-Contracts asserted here (and in ``tests/experiments/test_regularizers.py``):
-
-* completeness — one row per objective (control + all four registry
-  entries), every metric finite, no failed/diverged seeds;
-* paper shape (strict scale only) — the paper's topic-wise contrastive
-  regularizer improves coherence@10% over the pure-ELBO control.
+At strict scale this bench also asserts the paper's shape: the
+topic-wise contrastive regularizer improves coherence@10% over the
+pure-ELBO control.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from benchmarks.conftest import STRICT
+from repro.experiments import ExperimentSettings
+from repro.experiments.suites import SuiteSettings
 
-from benchmarks.conftest import STRICT, emit_report, print_block
-from repro.experiments import ExperimentContext, ExperimentSettings
-from repro.experiments.regularizers import (
-    format_leaderboard,
-    regularizer_leaderboard,
-)
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import REGULARIZERS_WALL_KEY
-
-#: §V.F protocol: three seeds per row at strict scale (the checked-in
-#: baseline); two keep the smoke run honest about the multi-seed path.
-SEEDS = (0, 1, 2) if STRICT else (0, 1)
-
-#: Per-row parallel seed fan-out (ParallelMap workers).  Rows are
-#: bitwise-identical for every worker count — asserted in the test suite.
-WORKERS = min(len(SEEDS), 3)
-
-EXPECTED_ROWS = frozenset(
-    {"elbo", "contrastive", "clntm", "coherence", "vicreg"}
-)
+#: §V.F protocol: three seeds per row at strict scale; two keep the smoke
+#: run (and the checked-in fast-mode baseline) honest about the
+#: multi-seed path.
+NUM_SEEDS = 3 if STRICT else 2
 
 
-def test_regularizer_leaderboard(bench_registry):
+def test_regularizer_leaderboard(run_suite):
     # The reduced experiment scale: the leaderboard's point is relative
     # ranking under identical settings, which survives scale-down.
-    context = ExperimentContext(ExperimentSettings(dataset="20ng").fast())
-    registry = MetricsRegistry()
-    with registry.timer(REGULARIZERS_WALL_KEY):
-        result = regularizer_leaderboard(
-            context, seeds=SEEDS, workers=WORKERS, registry=registry
-        )
-
-    print_block(format_leaderboard(result, "20ng"))
-
-    assert {row.name for row in result.rows} == set(EXPECTED_ROWS)
-    assert not result.failures, f"failed/diverged seeds: {result.failures}"
-    for row in result.rows:
-        assert np.isfinite(row.coherence_at_10), row.name
-        assert np.isfinite(row.diversity_at_10), row.name
-        assert np.isfinite(row.purity), row.name
-        assert row.summary()["seeds_ok"] == len(SEEDS), row.name
-
-    bench_registry.merge(registry)
-    emit_report(
-        "regularizers",
-        registry=registry,
-        meta={
-            "suite": "regularizers",
-            "dataset": "20ng",
-            "backbone": "etm",
-            "seeds": list(SEEDS),
-            "workers": WORKERS,
-            "leaderboard": [
-                {"objective": row.name, "weight": row.weight, **row.summary()}
-                for row in result.rows
-            ],
-            "best": result.best().name,
-        },
+    settings = SuiteSettings(
+        experiment=ExperimentSettings(dataset="20ng").fast(),
+        num_seeds=NUM_SEEDS,
+        # Rows are bitwise-identical for every worker count.
+        workers=min(NUM_SEEDS, 3),
     )
-
+    report = run_suite("regularizers", settings)
     if STRICT:
-        by_name = {row.name: row for row in result.rows}
+        by_name = {row["objective"]: row for row in report["meta"]["leaderboard"]}
         assert (
-            by_name["contrastive"].coherence_at_10
-            > by_name["elbo"].coherence_at_10
+            by_name["contrastive"]["coherence@10%"] > by_name["elbo"]["coherence@10%"]
         ), "topic-wise contrastive regularizer did not improve coherence@10%"

@@ -26,6 +26,7 @@ from functools import lru_cache
 from benchmarks.conftest import FAST, emit_report, print_block
 from repro.data import load_20ng
 from repro.experiments.reporting import format_table
+from repro.experiments.suites import SERVING_TOTALS
 from repro.io import save_checkpoint
 from repro.models import ProdLDA
 from repro.models.base import NTMConfig
@@ -114,6 +115,7 @@ def test_serving_front_door_bench(benchmark):
             "concurrency": CONCURRENCY,
             "status_counts": report.status_counts,
         },
+        declared=SERVING_TOTALS,
     )
     totals = load_report(report_path)["totals"]
 

@@ -1,11 +1,12 @@
 """Sparse fast-path benchmark: the dense-vs-CSR half of the CI perf guard.
 
-Runs :func:`repro.telemetry.microbench.run_sparse_microbench` — the
+Runs the ``sparse`` suite of :mod:`repro.experiments.suites` — the
 training hot path forward+backward on the same synthetic ≥99%-sparse
 bow, once dense (the reference oracle) and once through the CSR fused
-kernels — and emits ``BENCH_sparse.json``, which
+kernels, with the dense-vs-sparse loss gap and the profile density
+checked — and emits ``BENCH_sparse.json``, which
 ``benchmarks/check_regression.py`` compares against the checked-in
-baseline.  The gated totals are the two leg wall-clocks, the
+baseline.  The gated totals are the CSR leg's wall-clock, the
 ``sparse_speedup`` ratio, and the fast-path docs/sec.
 
 In STRICT mode the speedup itself is asserted to be an integer multiple
@@ -13,90 +14,27 @@ In STRICT mode the speedup itself is asserted to be an integer multiple
 was built for is a regression, baseline or not.
 """
 
-import numpy as np
-
-from benchmarks.conftest import BENCH_DTYPE, FAST, emit_report, print_block
-from repro.experiments.reporting import format_table
-from repro.telemetry import MetricsRegistry, load_report
-from repro.telemetry.microbench import (
-    DEFAULT_SPARSE_REPEATS,
-    SPARSE_BATCH,
-    SPARSE_PROFILE_DENSITY,
-    SPARSE_VOCAB,
-    run_sparse_microbench,
-)
-
-#: |dense loss − sparse loss| ceiling per dtype: the two legs reduce the
-#: same terms in different orders, so the gap is pure float associativity.
-LOSS_GAP_CEILING = {"float32": 1e-2, "float64": 1e-6}
+from benchmarks.conftest import BENCH_DTYPE, FAST, STRICT
+from repro.experiments.suites import SuiteSettings
+from repro.telemetry.microbench import DEFAULT_SPARSE_REPEATS
 
 #: STRICT-mode floor for the fast path: an integer-multiple speedup.
 MIN_SPEEDUP_STRICT = 2.0
 
 
-def test_sparse_fast_path_bench(benchmark):
-    registry = MetricsRegistry()
-    repeats = 3 if FAST else DEFAULT_SPARSE_REPEATS
-
-    def run():
-        run_sparse_microbench(registry=registry, repeats=repeats, dtype=BENCH_DTYPE)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    report_path = emit_report(
-        "sparse",
-        registry=registry,
-        meta={
-            "suite": "sparse",
-            "dtype": BENCH_DTYPE,
-            "repeats": repeats,
-            "seed": 0,
-            "batch": SPARSE_BATCH,
-            "vocab": SPARSE_VOCAB,
-            "density": SPARSE_PROFILE_DENSITY,
-        },
+def test_sparse_fast_path_bench(benchmark, run_suite):
+    settings = SuiteSettings(
+        repeats=3 if FAST else DEFAULT_SPARSE_REPEATS, dtype=BENCH_DTYPE
     )
-    report = load_report(report_path)
-    totals = report["totals"]
-
-    # Equivalence tripwire: both legs computed (numerically) the same loss.
-    gap = registry.counters["sparse/loss_gap"].value
-    assert gap <= LOSS_GAP_CEILING[BENCH_DTYPE], (
-        f"dense-vs-sparse loss gap {gap} exceeds the {BENCH_DTYPE} ceiling"
+    report = benchmark.pedantic(
+        run_suite, args=("sparse", settings), rounds=1, iterations=1
     )
-    # The generated profile really is in the ≥99%-sparse regime.
-    density = registry.counters["sparse/profile_density"].value
-    assert density < 0.01, density
-
-    assert totals["sparse_dense_seconds"] > 0
-    assert totals["sparse_sparse_seconds"] > 0
-    assert totals["sparse_docs_per_sec"] > 0
-    speedup = totals["sparse_speedup"]
-    if FAST:
-        # Smoke scale: still require the fast path to actually be faster.
-        assert speedup > 1.0, f"sparse path slower than dense ({speedup:.2f}x)"
-    else:
+    speedup = report["totals"]["sparse_speedup"]
+    if STRICT:
         assert speedup >= MIN_SPEEDUP_STRICT, (
             f"sparse fast path must be an integer multiple faster on the "
-            f"{1 - SPARSE_PROFILE_DENSITY:.1%}-sparse profile, got {speedup:.2f}x"
+            f"≥99%-sparse profile, got {speedup:.2f}x"
         )
-
-    docs = repeats * SPARSE_BATCH
-    table = [
-        ["dense (reference)", f"{totals['sparse_dense_seconds']:.3f}",
-         f"{totals['sparse_dense_docs_per_sec']:.0f}"],
-        ["CSR fast path", f"{totals['sparse_sparse_seconds']:.3f}",
-         f"{totals['sparse_docs_per_sec']:.0f}"],
-    ]
-    print_block(
-        format_table(
-            ["leg", "seconds", "docs/sec"],
-            table,
-            title=(
-                f"sparse fast path ({BENCH_DTYPE}, {docs} docs, "
-                f"vocab {SPARSE_VOCAB}, density {density:.4f}): "
-                f"{speedup:.2f}x speedup, loss gap {gap:.2e}"
-            ),
-        )
-    )
-    assert np.isfinite(speedup)
+    else:
+        # Smoke scale: still require the fast path to actually be faster.
+        assert speedup > 1.0, f"sparse path slower than dense ({speedup:.2f}x)"

@@ -8,146 +8,47 @@ seen so far, then a fresh O(V²) NPMI derivation with its temporaries.
 exact delta update: O(nnz_new·V) counting on the new slice only plus one
 allocation-free in-place rederivation.
 
-Two legs replay the same 20-slice synthetic drift profile
+The ``streaming`` suite of :mod:`repro.experiments.suites` replays the
+same 20-slice synthetic drift profile
 (:func:`repro.extensions.online.generate_drifting_stream` — theme
-popularity drifts and a new theme emerges mid-stream):
+popularity drifts and a new theme emerges mid-stream) through two legs:
 
 * ``streaming/update``  — the incremental engine folding each slice in;
 * ``streaming/recount`` — the pre-PR-9 behaviour: per slice, recount all
   documents seen so far from scratch and derive NPMI cold.
 
-The contract asserted here (and in ``tests/metrics/test_streaming.py``):
+The suite checks exactness: after the full schedule the incremental
+counts equal the final recount bitwise and the in-place NPMI matches a
+cold build to <= 1e-12 (in practice bitwise: both paths share one
+derivation kernel).  This bench adds the speed contract: the
+incremental leg is >= 5x faster over the 20-slice profile.  The ratio is
+algorithmic (recounting replays every past document, the delta touches
+only new ones), so it holds at smoke scale too.
 
-* exactness — after the full schedule the incremental counts equal the
-  final recount bitwise and the in-place NPMI matches a cold build to
-  <= 1e-12 (in practice bitwise: both paths share one derivation kernel);
-* speed — the incremental leg is >= 5x faster over the 20-slice profile.
-  The ratio is algorithmic (recounting replays every past document,
-  the delta touches only new ones), so it holds at smoke scale too.
-
-The report roll-up derives ``streaming_update_seconds``,
-``streaming_speedup`` and ``streaming_docs_per_sec`` totals, which
-``benchmarks/check_regression.py`` gates against
-``benchmarks/baselines/BENCH_streaming.json``; the engine's counters
-(updates, delta_nnz, buffer reuses) and the NPMI cache's hit/miss
-counters travel alongside as ``streaming_*`` / ``npmi_cache_*`` totals.
+``benchmarks/check_regression.py`` gates the report's
+``streaming_update_seconds``, ``streaming_speedup``,
+``streaming_docs_per_sec`` and ``streaming_buffer_reuses`` totals against
+``benchmarks/baselines/BENCH_streaming.json``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import STRICT, emit_report, print_block
-from repro.extensions.online import DriftingStreamConfig, generate_drifting_stream
-from repro.metrics.cooccurrence import DocumentCooccurrence
-from repro.metrics.npmi import compute_npmi_matrix
-from repro.metrics.streaming import (
-    StreamingNpmiEngine,
-    record_streaming_stats,
-    reset_streaming_stats,
-)
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import (
-    STREAMING_DOCS_KEY,
-    STREAMING_RECOUNT_KEY,
-    STREAMING_UPDATE_KEY,
-)
+from benchmarks.conftest import STRICT
+from repro.experiments.suites import SuiteSettings
 
 NUM_SLICES = 20
-DOCS_PER_SLICE = 250 if STRICT else 80
 
 #: Minimum incremental-vs-recount speedup over the 20-slice profile.  The
 #: counting work ratio alone is ~(S+1)/2 = 10.5x; 5x leaves headroom for
 #: the per-slice rederivation both legs pay.
 MIN_SPEEDUP = 5.0
 
-#: Exactness tolerance on the rederived NPMI vs a cold build.  Shared
-#: derivation kernel means the observed difference is exactly 0.0.
-NPMI_TOL = 1e-12
 
-
-def _drift_profile() -> DriftingStreamConfig:
-    return DriftingStreamConfig(
-        base_themes=("space", "medicine", "finance"),
-        emerging_themes=("wrestling",),
-        emerge_at=NUM_SLICES // 2,
-        num_slices=NUM_SLICES,
-        docs_per_slice=DOCS_PER_SLICE,
-        average_length=40.0,
-        seed=7,
+def test_streaming_vs_recount(run_suite):
+    settings = SuiteSettings(
+        stream_slices=NUM_SLICES, stream_docs=250 if STRICT else 80, seed=7
     )
-
-
-def test_streaming_vs_recount(bench_registry):
-    slices, _, _ = generate_drifting_stream(_drift_profile())
-    vocab_size = slices[0].vocab_size
-    registry = MetricsRegistry()
-    reset_streaming_stats()
-
-    # Warm each slice's binary-incidence cache outside the timed regions
-    # so neither leg pays the one-time BOW conversion inside its timer
-    # (the recount leg replays cached slices; without warming, the
-    # incremental leg — which runs first — would pay all conversions).
-    for slice_corpus in slices:
-        slice_corpus.binary_doc_word()
-
-    # Leg 1: incremental — one engine, one delta update per slice.
-    engine = StreamingNpmiEngine(vocab_size)
-    for slice_corpus in slices:
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update(slice_corpus)
-
-    # Leg 2: the pre-PR-9 behaviour — per slice, recount every document
-    # seen so far from scratch and derive NPMI cold (fresh temporaries).
-    final_recount = None
-    for upto in range(1, len(slices) + 1):
-        with registry.timer(STREAMING_RECOUNT_KEY):
-            recount = DocumentCooccurrence.empty(vocab_size)
-            for past in slices[:upto]:
-                recount.update(past)
-            cold = compute_npmi_matrix(recount)
-        final_recount = recount
-
-    # Exactness contract: bitwise counts, <= 1e-12 NPMI vs the cold build.
-    engine.check_against(final_recount)
-    npmi_gap = float(np.max(np.abs(engine.npmi.matrix - cold.matrix)))
-    assert npmi_gap <= NPMI_TOL, (
-        f"incremental NPMI diverged from cold build by {npmi_gap:.3e}"
-    )
-
-    total_docs = sum(len(s) for s in slices)
-    registry.counter(STREAMING_DOCS_KEY, absolute=True).value = float(total_docs)
-    record_streaming_stats(registry)
-
-    update_s = registry.timers[STREAMING_UPDATE_KEY].total_seconds
-    recount_s = registry.timers[STREAMING_RECOUNT_KEY].total_seconds
-    speedup = recount_s / update_s if update_s > 0 else float("inf")
-    print_block(
-        f"streaming kernel ({NUM_SLICES} slices x {DOCS_PER_SLICE} docs, "
-        f"V={vocab_size})\n"
-        f"  incremental: {update_s:8.3f}s  "
-        f"({total_docs / update_s:10.0f} docs/s)\n"
-        f"  recount:     {recount_s:8.3f}s\n"
-        f"  speedup:     {speedup:8.2f}x   npmi gap {npmi_gap:.1e}\n"
-        f"  delta nnz:   {engine.stats['delta_nnz']}  "
-        f"buffer reuses: {engine.stats['buffer_reuses']}"
-    )
-
-    bench_registry.merge(registry)
-    emit_report(
-        "streaming",
-        registry=registry,
-        meta={
-            "suite": "streaming",
-            "num_slices": NUM_SLICES,
-            "docs_per_slice": DOCS_PER_SLICE,
-            "vocab_size": vocab_size,
-            "total_docs": total_docs,
-            "speedup": speedup,
-            "npmi_gap": npmi_gap,
-        },
-    )
-
+    speedup = run_suite("streaming", settings)["totals"]["streaming_speedup"]
     assert speedup >= MIN_SPEEDUP, (
         f"incremental engine only {speedup:.2f}x faster than per-slice "
         f"recount over {NUM_SLICES} slices (target {MIN_SPEEDUP}x)"

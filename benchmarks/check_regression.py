@@ -6,34 +6,33 @@ Usage (from the repository root, after a smoke benchmark run emitted
     REPRO_BENCH_FAST=1 python -m pytest benchmarks/bench_computational_analysis.py -q
     python benchmarks/check_regression.py
 
-Exits 0 when every compared total is within ``--threshold`` (default 2x —
+Exits 0 when every gated total is within ``--threshold`` (default 2x —
 deliberately tolerant, shared CI runners are noisy) of the checked-in
-baseline, 1 when any total regressed, 2 on bad inputs.  The diff table is
-printed either way.  Per-op rows are informational only; the gate runs on
-the scalar totals (op/epoch second sums, mean epoch time, docs/sec
-throughput).
+baseline, 1 when any gated total regressed or went missing, 2 on bad
+inputs — including a baseline and a current report measured at
+different scales (``meta.fast`` differs).  The diff table is printed
+either way.  Per-op rows are informational only.
 
-The guard works on any pair of ``BENCH_*.json`` reports.  CI runs it
-four times: on the end-to-end training report (defaults below), on the
-fused-kernel microbenchmark, on the sparse fast-path comparison
-(``benchmarks/bench_sparse_ops.py``, gating ``sparse_speedup`` /
-``sparse_docs_per_sec`` / the leg wall-clocks), and on the multi-seed
-parallel-vs-serial wall-clock (``benchmarks/bench_parallel_multiseed.py``),
-whose ``multiseed_serial_seconds`` / ``multiseed_parallel_seconds`` /
-``multiseed_speedup`` totals this guard gates automatically because they
-are listed in :data:`repro.telemetry.report.TIME_TOTALS` /
-``RATE_TOTALS``::
+The gated totals, and the direction each is gated in, are the ones the
+benchmark suites declare (:func:`repro.experiments.suites.declared_totals`):
+a ``lower`` total fails when the current value exceeds ``threshold`` ×
+baseline, a ``higher`` one when it falls below baseline / ``threshold``,
+and a gated total present in the baseline but absent from the current
+report fails as ``missing``.  The guard works on any pair of
+``BENCH_*.json`` reports; CI's perf-guard matrix job runs it once per
+suite, e.g.::
 
     REPRO_BENCH_FAST=1 python -m pytest benchmarks/bench_fused_ops.py -q
-    python benchmarks/check_regression.py \
+    python benchmarks/check_regression.py --threshold 2.5 \
         --baseline benchmarks/baselines/BENCH_ops.json \
         --current BENCH_ops.json
 
     REPRO_BENCH_FAST=1 REPRO_WORKERS=2 \
+        REPRO_BENCH_TELEMETRY_DIR=parallel-telemetry \
         python -m pytest benchmarks/bench_parallel_multiseed.py -q
-    python benchmarks/check_regression.py \
+    python benchmarks/check_regression.py --threshold 2.5 \
         --baseline benchmarks/baselines/BENCH_suite.json \
-        --current BENCH_suite.json
+        --current parallel-telemetry/BENCH_suite.json
 
 Refreshing a baseline after an intentional perf change::
 
@@ -57,6 +56,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.experiments.suites import declared_totals  # noqa: E402
 from repro.io import atomic_write  # noqa: E402
 from repro.telemetry import compare_reports, load_report, summarize_report  # noqa: E402
 
@@ -169,7 +169,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    failures, table = compare_reports(baseline, current, threshold=args.threshold)
+    fast = [report.get("meta", {}).get("fast") for report in (baseline, current)]
+    if fast[0] != fast[1]:
+        print(
+            f"error: baseline meta.fast={fast[0]} but current meta.fast={fast[1]}; "
+            "compare runs of the same scale",
+            file=sys.stderr,
+        )
+        return 2
+
+    declared = declared_totals()
+    failures, table = compare_reports(
+        baseline, current, declared, threshold=args.threshold
+    )
     print(table)
     if failures:
         print()
@@ -181,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     # summary of the current report, so the CI log records the numbers
     # the guard accepted (not only the ones it rejected).
     print()
-    print(summarize_report(current))
+    print(summarize_report(current, declared))
     print()
     print("perf-guard OK: no compared total regressed past the threshold")
     return 0

@@ -29,7 +29,9 @@ Every benchmark test is timed into a session-wide
 (autouse fixture); individual benchmarks add finer-grained stage timers
 via the ``bench_registry`` fixture.  At session end the aggregate is
 written to ``BENCH_suite.json``; benchmarks with richer telemetry (op
-tables, epoch tables) emit their own report through :func:`emit_report`.
+tables, epoch tables) emit their own report through :func:`emit_report`,
+and the perf-guard suites run their one definition in
+:mod:`repro.experiments.suites` through the ``run_suite`` fixture.
 
 Because :func:`repro.telemetry.profile_ops` blocks nest, op-profiled
 benchmark sections also fan their per-op rows into the session registry
@@ -47,7 +49,14 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentSettings
-from repro.telemetry import MetricsRegistry, build_report, profile_ops, write_report
+from repro.experiments.suites import SUITES, SuiteSettings, declared_totals
+from repro.telemetry import (
+    MetricsRegistry,
+    build_report,
+    format_report,
+    profile_ops,
+    write_report,
+)
 from repro.tensor import resolve_dtype
 
 _TRUE_VALUES = {"1", "true", "yes", "on"}
@@ -93,10 +102,12 @@ def telemetry_dir() -> Path:
     return Path(os.environ.get("REPRO_BENCH_TELEMETRY_DIR", "."))
 
 
-def emit_report(name: str, registry=None, epochs=None, meta=None) -> Path:
+def emit_report(name: str, registry=None, epochs=None, meta=None, declared=()) -> Path:
     """Write ``BENCH_<name>.json`` into :func:`telemetry_dir`."""
     merged_meta = {"fast": FAST, **(meta or {})}
-    report = build_report(name, registry=registry, epochs=epochs, meta=merged_meta)
+    report = build_report(
+        name, registry=registry, epochs=epochs, meta=merged_meta, declared=declared
+    )
     return write_report(report, telemetry_dir() / f"BENCH_{name}.json")
 
 
@@ -105,7 +116,29 @@ def bench_registry():
     """Session-wide telemetry sink; dumped to BENCH_suite.json at exit."""
     registry = MetricsRegistry()
     yield registry
-    emit_report("suite", registry=registry)
+    emit_report("suite", registry=registry, declared=declared_totals())
+
+
+@pytest.fixture(scope="session")
+def run_suite(bench_registry):
+    """Run one :data:`repro.experiments.suites.SUITES` entry.
+
+    ``run_suite(name, settings)`` runs the suite (its correctness checks
+    raise), writes ``BENCH_<name>.json``, folds the suite's registry into
+    the session's and returns the report.
+    """
+
+    def run(name: str, settings: SuiteSettings) -> dict:
+        suite = SUITES[name]
+        report = suite.report(settings, meta={"fast": FAST})
+        write_report(report, telemetry_dir() / f"BENCH_{name}.json")
+        bench_registry.merge_snapshot(report["registry"])
+        if suite.describe is not None:
+            print_block(suite.describe(report["meta"]))
+        print_block(format_report(report))
+        return report
+
+    return run
 
 
 @pytest.fixture(autouse=True)

@@ -25,22 +25,12 @@ Commands
 ``bench``     Train with telemetry enabled and write a ``BENCH_*.json``
               report (per-op timings — on by default, disable with
               ``--no-profile-ops`` — per-epoch throughput,
-              ELBO-vs-contrastive loss split).  ``--suite ops`` skips
-              training and instead microbenchmarks every fused autodiff
-              kernel on fixed seeded shapes.  ``--suite sparse`` times
-              the training hot path dense vs CSR on the same synthetic
-              ≥99%-sparse bow and records the speedup for the CI
-              perf-guard.  ``--suite multiseed`` runs
-              the §V.F multi-seed evaluation twice — serial and across
-              ``--workers`` processes — asserts the metrics are
-              identical, and records both wall-clocks (and the speedup)
-              for the CI perf-guard.
-              ``--suite streaming`` replays a synthetic drifting stream
-              through the incremental co-occurrence/NPMI engine and
-              through a per-slice full recount, checks the exactness
-              contract, and records ``streaming_update_seconds`` /
-              ``streaming_speedup`` / ``streaming_docs_per_sec`` for the
-              CI perf-guard.  The ``--inject-*`` flags drive the
+              ELBO-vs-contrastive loss split).  ``--suite <name>`` runs
+              one benchmark suite of :mod:`repro.experiments.suites`
+              instead (``ops``, ``sparse``, ``multiseed``, ``streaming``,
+              ``regularizers``): the same function the pytest benches
+              run, with its correctness checks, writing a report for
+              the CI perf-guard.  The ``--inject-*`` flags drive the
               deterministic fault harness so recovery paths can be
               smoke-tested in CI.
 
@@ -86,6 +76,13 @@ import numpy as np
 
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.reporting import format_table
+from repro.experiments.suites import (
+    SERVING_TOTALS,
+    SUITES,
+    TRAINING_TOTALS,
+    SuiteCheckError,
+    SuiteSettings,
+)
 from repro.experiments.table1_stats import format_table1, run_table1
 from repro.io import load_checkpoint, save_checkpoint
 from repro.metrics.coherence import topic_npmi_scores
@@ -281,349 +278,6 @@ def _cmd_datasets(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_bench_ops(args: argparse.Namespace, out) -> int:
-    """``bench --suite ops``: microbenchmark the fused kernels directly."""
-    from repro.telemetry import build_report, format_report, write_report
-    from repro.telemetry.microbench import run_ops_microbench
-    from repro.tensor import get_default_dtype
-
-    print("microbenchmarking fused autodiff kernels...", file=out)
-    registry = run_ops_microbench(
-        repeats=args.repeats, dtype=args.dtype, seed=args.seed
-    )
-    report = build_report(
-        args.name or "ops_microbench",
-        registry=registry,
-        meta={
-            "suite": "ops",
-            "dtype": args.dtype or str(get_default_dtype()),
-            "repeats": args.repeats,
-            "seed": args.seed,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_sparse(args: argparse.Namespace, out) -> int:
-    """``bench --suite sparse``: dense-vs-CSR fast-path comparison.
-
-    Runs the training hot path twice on the same synthetic ≥99%-sparse
-    bow — once dense (the reference oracle), once through the CSR fused
-    kernels — and writes a report whose totals carry both wall-clocks,
-    the ``sparse_speedup`` ratio, and docs/sec for the CI perf-guard.
-    """
-    from repro.telemetry import build_report, format_report, write_report
-    from repro.telemetry.microbench import (
-        SPARSE_BATCH,
-        SPARSE_PROFILE_DENSITY,
-        SPARSE_VOCAB,
-        run_sparse_microbench,
-    )
-    from repro.tensor import get_default_dtype
-
-    print("benchmarking sparse fast path vs dense reference...", file=out)
-    registry = run_sparse_microbench(
-        repeats=args.repeats, dtype=args.dtype, seed=args.seed
-    )
-    report = build_report(
-        args.name or "sparse_fast_path",
-        registry=registry,
-        meta={
-            "suite": "sparse",
-            "dtype": args.dtype or str(get_default_dtype()),
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "batch": SPARSE_BATCH,
-            "vocab": SPARSE_VOCAB,
-            "density": SPARSE_PROFILE_DENSITY,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _results_equal(a, b) -> bool:
-    """Exact equality of two :class:`EvaluationResult`\\ s (NaN-tolerant).
-
-    NaN compares equal to NaN here: a seed that diverged identically in
-    both runs must not make the serial-vs-parallel equality check fail.
-    """
-
-    def scalar_equal(x, y) -> bool:
-        fx, fy = float(x), float(y)
-        return fx == fy or (fx != fx and fy != fy)
-
-    def dicts_equal(da, db) -> bool:
-        return da.keys() == db.keys() and all(
-            scalar_equal(da[k], db[k]) for k in da
-        )
-
-    return (
-        a.seed_status == b.seed_status
-        and a.diverged == b.diverged
-        and all(
-            dicts_equal(getattr(a, f), getattr(b, f))
-            for f in (
-                "coherence",
-                "diversity",
-                "km_purity",
-                "km_nmi",
-                "coherence_std",
-                "diversity_std",
-                "km_purity_std",
-            )
-        )
-    )
-
-
-def _cmd_bench_multiseed(args: argparse.Namespace, out) -> int:
-    """``bench --suite multiseed``: serial-vs-parallel §V.F evaluation.
-
-    Runs the same multi-seed evaluation twice — ``workers=1`` (the exact
-    serial path) and ``workers=N`` — asserts the merged metrics and
-    per-seed statuses are identical, and writes a report whose totals
-    carry both wall-clocks plus the speedup for the CI perf-guard.
-    """
-    import os
-
-    from repro.parallel import resolve_workers
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import MULTISEED_PARALLEL_KEY, MULTISEED_SERIAL_KEY
-    from repro.training.protocol import multi_seed_evaluation
-
-    workers = resolve_workers(args.workers)
-    seeds = tuple(range(args.num_seeds))
-    context = ExperimentContext(_settings_from_args(args))
-    factory = context.factory(args.model)
-    registry = MetricsRegistry()
-
-    print(
-        f"multi-seed benchmark: {args.model} on {args.dataset}, "
-        f"{len(seeds)} seeds, serial vs {workers} workers...",
-        file=out,
-    )
-    runs = {}
-    for key, n in ((MULTISEED_SERIAL_KEY, 1), (MULTISEED_PARALLEL_KEY, workers)):
-        with registry.timer(key):
-            runs[key] = multi_seed_evaluation(
-                factory,
-                context.dataset.train,
-                context.dataset.test,
-                context.npmi_test,
-                seeds=seeds,
-                model_name=args.model,
-                workers=n,
-                registry=registry,
-                profile=args.profile_ops,
-            )
-    if not _results_equal(runs[MULTISEED_SERIAL_KEY], runs[MULTISEED_PARALLEL_KEY]):
-        raise SystemExit(
-            "multi-seed metrics differ between workers=1 and "
-            f"workers={workers}: {runs[MULTISEED_SERIAL_KEY].summary()} vs "
-            f"{runs[MULTISEED_PARALLEL_KEY].summary()}"
-        )
-    print("serial and parallel metrics are identical", file=out)
-    report = build_report(
-        args.name or f"multiseed_{args.model}_{args.dataset}",
-        registry=registry,
-        meta={
-            "suite": "multiseed",
-            "dataset": args.dataset,
-            "model": args.model,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "num_seeds": args.num_seeds,
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "dtype": args.dtype or _current_dtype_name(),
-            "profile_ops": bool(args.profile_ops),
-            "metrics": runs[MULTISEED_PARALLEL_KEY].summary(),
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_streaming(args: argparse.Namespace, out) -> int:
-    """``bench --suite streaming``: incremental engine vs full recount.
-
-    Replays a synthetic drifting stream (``--stream-slices`` slices of
-    ``--stream-docs`` documents) twice — once through the incremental
-    :class:`repro.metrics.streaming.StreamingNpmiEngine`, once through a
-    per-slice from-scratch recount + cold NPMI build — verifies the
-    exactness contract (bitwise counts, NPMI within 1e-12), and writes a
-    report whose totals carry ``streaming_update_seconds``,
-    ``streaming_speedup``, ``streaming_docs_per_sec`` and the engine's
-    counters for the CI perf-guard.
-    """
-    import numpy as np
-
-    from repro.extensions.online import (
-        DriftingStreamConfig,
-        generate_drifting_stream,
-    )
-    from repro.metrics.cooccurrence import DocumentCooccurrence
-    from repro.metrics.npmi import compute_npmi_matrix
-    from repro.metrics.streaming import (
-        StreamingNpmiEngine,
-        record_streaming_stats,
-    )
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import (
-        STREAMING_DOCS_KEY,
-        STREAMING_RECOUNT_KEY,
-        STREAMING_UPDATE_KEY,
-    )
-
-    print(
-        f"streaming benchmark: {args.stream_slices} slices x "
-        f"{args.stream_docs} docs...",
-        file=out,
-    )
-    slices, _, _ = generate_drifting_stream(
-        DriftingStreamConfig(
-            emerge_at=max(1, args.stream_slices // 2),
-            num_slices=args.stream_slices,
-            docs_per_slice=args.stream_docs,
-            average_length=40.0,
-            seed=args.seed,
-        )
-    )
-    vocab_size = slices[0].vocab_size
-    registry = MetricsRegistry()
-    for slice_corpus in slices:  # warm incidence caches outside timers
-        slice_corpus.binary_doc_word()
-
-    engine = StreamingNpmiEngine(vocab_size)
-    for slice_corpus in slices:
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update(slice_corpus)
-
-    recount = None
-    for upto in range(1, len(slices) + 1):
-        with registry.timer(STREAMING_RECOUNT_KEY):
-            recount = DocumentCooccurrence.empty(vocab_size)
-            for past in slices[:upto]:
-                recount.update(past)
-            cold = compute_npmi_matrix(recount)
-
-    engine.check_against(recount)
-    npmi_gap = float(np.max(np.abs(engine.npmi.matrix - cold.matrix)))
-    if npmi_gap > 1e-12:
-        raise SystemExit(
-            f"incremental NPMI diverged from cold build by {npmi_gap:.3e}"
-        )
-    total_docs = sum(len(s) for s in slices)
-    registry.counter(STREAMING_DOCS_KEY, absolute=True).value = float(total_docs)
-    record_streaming_stats(registry)
-    report = build_report(
-        args.name or "streaming_engine",
-        registry=registry,
-        meta={
-            "suite": "streaming",
-            "num_slices": args.stream_slices,
-            "docs_per_slice": args.stream_docs,
-            "vocab_size": vocab_size,
-            "total_docs": total_docs,
-            "seed": args.seed,
-            "npmi_gap": npmi_gap,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_regularizers(args: argparse.Namespace, out) -> int:
-    """``bench --suite regularizers``: the objective-zoo leaderboard.
-
-    Trains the same backbone once per objective (pure ELBO control plus
-    every :mod:`repro.objectives` registry entry), fanning the seeds out
-    over ``--workers`` processes, scores each with the §V.B protocol and
-    writes a report whose ``regularizers_wall_seconds`` total gates the
-    sweep's cost in CI while the leaderboard rows land in ``meta`` for
-    the checked-in ``BENCH_regularizers`` table.
-    """
-    from repro.experiments.regularizers import (
-        format_leaderboard,
-        regularizer_leaderboard,
-    )
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import REGULARIZERS_WALL_KEY
-
-    context = ExperimentContext(_settings_from_args(args))
-    seeds = tuple(range(args.num_seeds))
-    registry = MetricsRegistry()
-    print(
-        f"regularizer leaderboard on {args.dataset}: "
-        f"{len(seeds)} seeds per objective...",
-        file=out,
-    )
-    with registry.timer(REGULARIZERS_WALL_KEY):
-        result = regularizer_leaderboard(
-            context,
-            seeds=seeds,
-            workers=args.workers,
-            registry=registry,
-            backbone=args.backbone,
-        )
-    report = build_report(
-        args.name or "regularizers",
-        registry=registry,
-        meta={
-            "suite": "regularizers",
-            "dataset": args.dataset,
-            "backbone": args.backbone,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "seeds": list(seeds),
-            "leaderboard": [
-                {
-                    "objective": row.name,
-                    "weight": row.weight,
-                    **row.summary(),
-                }
-                for row in result.rows
-            ],
-            "best": result.best().name,
-            "failures": {
-                label: {str(seed): status for seed, status in statuses.items()}
-                for label, statuses in result.failures.items()
-            },
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_leaderboard(result, args.dataset), file=out)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """``serve``: drive the resilient inference service under load.
 
@@ -774,6 +428,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             },
             "status_counts": report.status_counts,
         },
+        declared=SERVING_TOTALS,
     )
     path = write_report(bench, args.telemetry)
     print(f"wrote telemetry report to {path}", file=out)
@@ -793,19 +448,42 @@ def _probe_corpus(corpus, n: int):
     return Corpus(corpus.documents[:n], corpus.vocabulary)
 
 
+def _run_suite(args: argparse.Namespace, out) -> int:
+    """``bench --suite <name>``: one :mod:`repro.experiments.suites` entry."""
+    from repro.telemetry import format_report, write_report
+
+    suite = SUITES[args.suite]
+    settings = SuiteSettings(
+        experiment=_settings_from_args(args),
+        model=args.model,
+        backbone=args.backbone,
+        seed=args.seed,
+        num_seeds=args.num_seeds,
+        workers=args.workers,
+        repeats=args.repeats,
+        dtype=args.dtype,
+        profile_ops=args.profile_ops,
+        stream_slices=args.stream_slices,
+        stream_docs=args.stream_docs,
+    )
+    print(f"running bench suite {suite.name!r}...", file=out)
+    try:
+        report = suite.report(settings, name=args.name)
+    except SuiteCheckError as error:
+        raise SystemExit(f"bench suite {suite.name!r} failed a check: {error}")
+    path = write_report(report, args.telemetry)
+    if suite.describe is not None:
+        print(suite.describe(report["meta"]), file=out)
+    print(format_report(report), file=out)
+    print(f"wrote telemetry report to {path}", file=out)
+    return 0
+
+
 def _cmd_bench(args: argparse.Namespace, out) -> int:
     import contextlib
 
-    if args.suite == "ops":
-        return _cmd_bench_ops(args, out)
-    if args.suite == "sparse":
-        return _cmd_bench_sparse(args, out)
-    if args.suite == "multiseed":
-        return _cmd_bench_multiseed(args, out)
-    if args.suite == "streaming":
-        return _cmd_bench_streaming(args, out)
-    if args.suite == "regularizers":
-        return _cmd_bench_regularizers(args, out)
+    if args.suite != "train":
+        return _run_suite(args, out)
 
     from repro.models.base import NeuralTopicModel
     from repro.telemetry import (
@@ -881,6 +559,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             "inject_grad": args.inject_grad,
             "inject_interrupts": args.inject_interrupts,
         },
+        declared=TRAINING_TOTALS,
     )
     path = write_report(report, args.telemetry)
     print(format_report(report), file=out)
@@ -1021,14 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--suite",
         default="train",
-        choices=[
-            "train",
-            "ops",
-            "sparse",
-            "multiseed",
-            "streaming",
-            "regularizers",
-        ],
+        choices=["train", *SUITES],
         help="'train': benchmark an end-to-end training run; "
         "'ops': microbenchmark every fused kernel on fixed shapes; "
         "'sparse': dense-vs-CSR fast-path hot-path comparison; "

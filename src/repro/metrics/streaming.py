@@ -28,9 +28,10 @@ exact instead:
 Module-level counters aggregate every engine's activity per process;
 :func:`record_streaming_stats` publishes them (plus the co-occurrence
 cache's hit/miss counters) into a
-:class:`~repro.telemetry.MetricsRegistry`, where
-:func:`repro.telemetry.report.build_report` rolls them into
-``streaming_*`` / ``npmi_cache_*`` totals for the CI perf guard.
+:class:`~repro.telemetry.MetricsRegistry` under
+:data:`STREAMING_COUNTER_PREFIX` / :data:`NPMI_CACHE_COUNTER_PREFIX`; the
+streaming suite (:mod:`repro.experiments.suites`) declares both counter
+families as ``streaming_*`` / ``npmi_cache_*`` report totals.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from repro.metrics.cooccurrence import (
     cooccurrence_cache_stats,
 )
 from repro.metrics.npmi import NpmiMatrix, NpmiWorkspace
+
+#: Registry prefixes :func:`record_streaming_stats` publishes under.
+STREAMING_COUNTER_PREFIX = "streaming/"
+NPMI_CACHE_COUNTER_PREFIX = "npmi_cache/"
 
 _STREAM_STATS = {
     "updates": 0,
@@ -63,18 +68,16 @@ def reset_streaming_stats() -> None:
         _STREAM_STATS[key] = 0
 
 
-def record_streaming_stats(registry, prefix: str = "streaming") -> None:
+def record_streaming_stats(registry) -> None:
     """Publish streaming + NPMI-cache counters into ``registry``.
 
     Keys are absolute (``streaming/updates``, ``npmi_cache/hits``, ...)
-    so callers inside nested timer scopes record the same names;
-    :func:`repro.telemetry.report.build_report` picks them up as
-    ``streaming_*`` / ``npmi_cache_*`` report totals.
+    so callers inside nested timer scopes record the same names.
     """
     for name, value in _STREAM_STATS.items():
-        registry.counter(f"{prefix}/{name}", absolute=True).add(value)
+        registry.counter(STREAMING_COUNTER_PREFIX + name, absolute=True).add(value)
     for name, value in cooccurrence_cache_stats().items():
-        registry.counter(f"npmi_cache/{name}", absolute=True).add(value)
+        registry.counter(NPMI_CACHE_COUNTER_PREFIX + name, absolute=True).add(value)
 
 
 class StreamingNpmiEngine:

@@ -35,7 +35,11 @@ them per task would dominate the win.  Tasks are therefore stashed in a
 module-level registry and the pool is created with the ``fork`` start
 method, so children inherit the registry (and every already-loaded
 corpus page) by copy-on-write; only the integer task index crosses the
-pipe.  On platforms without ``fork`` (Windows, macOS under ``spawn``)
+pipe.  Every task, serial or forked, runs on one OpenBLAS thread
+(:func:`repro.blas.one_blas_thread`): N workers each running a CPU-wide
+BLAS pool would oversubscribe the machine, and a GEMM's bits can depend
+on its thread count, so both paths must use the same one.  On platforms
+without ``fork`` (Windows, macOS under ``spawn``)
 the map transparently degrades to the serial path and records the
 fallback under the ``parallel/serial_fallback`` counter.
 """
@@ -53,6 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TypeVar
 
+from repro.blas import one_blas_thread
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.telemetry.core import MetricsRegistry
 
@@ -156,7 +161,8 @@ class TaskResult:
 def _execute(
     fn: Callable[[Any], Any], item: Any, index: int, profile: bool
 ) -> TaskResult:
-    """Run one task under fault isolation and a task-local registry.
+    """Run one task under fault isolation, a task-local registry and one
+    BLAS thread.
 
     This is the *only* execution path — the serial mode and every pool
     worker call it — so failure semantics and telemetry shape cannot
@@ -168,7 +174,7 @@ def _execute(
     profiler = profile_ops(registry) if profile else contextlib.nullcontext()
     start = time.perf_counter()
     try:
-        with profiler, registry.timer(TASK_TIMER_KEY):
+        with one_blas_thread(), profiler, registry.timer(TASK_TIMER_KEY):
             value = fn(item)
         return TaskResult(
             index=index,

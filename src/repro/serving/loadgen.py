@@ -14,8 +14,8 @@ pieces deliver that:
   hot-reloading a checkpoint every ``reload_every`` completions (the
   live-reload-under-traffic scenario), and returns a :class:`LoadReport`
   whose :meth:`~LoadReport.record_into` lands the percentiles under the
-  ``SERVING_*`` registry keys that
-  :func:`repro.telemetry.report.build_report` rolls into gated totals.
+  ``SERVING_*`` registry keys, from which
+  :data:`repro.experiments.suites.SERVING_TOTALS` declares gated totals.
 """
 
 from __future__ import annotations
@@ -38,17 +38,18 @@ from repro.serving.service import (
     TOP_WORDS,
     TRANSFORM,
 )
-from repro.telemetry.report import (
-    SERVING_P50_KEY,
-    SERVING_P95_KEY,
-    SERVING_P99_KEY,
-    SERVING_REQUESTS_KEY,
-    SERVING_WALL_KEY,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.data.corpus import Corpus
     from repro.telemetry.core import MetricsRegistry
+
+#: Registry keys :meth:`LoadReport.record_into` lands a run under:
+#: end-to-end wall-clock, latency percentiles and requests submitted.
+SERVING_WALL_KEY = "serving/wall"
+SERVING_P50_KEY = "serving/p50"
+SERVING_P95_KEY = "serving/p95"
+SERVING_P99_KEY = "serving/p99"
+SERVING_REQUESTS_KEY = "serving/requests_total"
 
 
 @dataclass(frozen=True)

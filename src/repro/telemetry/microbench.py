@@ -24,11 +24,6 @@ from repro.core import contrastive, subset_sampling
 from repro.core.similarity import SimilarityKernel
 from repro.telemetry.core import MetricsRegistry
 from repro.telemetry.ophooks import PROFILED_CORE_OPS, profile_ops
-from repro.telemetry.report import (
-    SPARSE_DENSE_KEY,
-    SPARSE_DOCS_KEY,
-    SPARSE_SPARSE_KEY,
-)
 from repro.tensor import fused
 from repro.tensor.dtypes import default_dtype, get_default_dtype, resolve_dtype
 from repro.tensor.sparse import CSRBatch
@@ -229,6 +224,13 @@ SPARSE_PROFILE_DENSITY = 0.005
 #: is a full forward + backward of the training hot path).
 DEFAULT_SPARSE_REPEATS = 10
 
+#: Registry keys of the sparse suite: wall-clock of the dense reference
+#: leg, wall-clock of the CSR fast-path leg, and the documents each leg
+#: pushed through the hot path.
+SPARSE_DENSE_KEY = "sparse/dense"
+SPARSE_SPARSE_KEY = "sparse/sparse"
+SPARSE_DOCS_KEY = "sparse/docs"
+
 
 def run_sparse_microbench(
     registry: MetricsRegistry | None = None,
@@ -251,19 +253,19 @@ def run_sparse_microbench(
 
     Records into ``registry``:
 
-    - timer :data:`~repro.telemetry.report.SPARSE_DENSE_KEY` — dense leg
-      wall-clock over all repetitions,
-    - timer :data:`~repro.telemetry.report.SPARSE_SPARSE_KEY` — CSR leg
-      wall-clock,
-    - counter :data:`~repro.telemetry.report.SPARSE_DOCS_KEY` — documents
-      pushed through each leg (for docs/sec),
+    - timer :data:`SPARSE_DENSE_KEY` — dense leg wall-clock over all
+      repetitions,
+    - timer :data:`SPARSE_SPARSE_KEY` — CSR leg wall-clock,
+    - counter :data:`SPARSE_DOCS_KEY` — documents pushed through each leg
+      (for docs/sec),
     - counter ``sparse/loss_gap`` — ``|dense loss − sparse loss|`` of the
       final repetition (an equivalence tripwire: must be ≈0),
     - counter ``sparse/profile_density`` — actual nnz fraction of the
       generated bow.
 
-    :func:`repro.telemetry.report.build_report` rolls the timers into
-    ``totals.sparse_*`` including the gated ``sparse_speedup``.
+    The sparse suite (:mod:`repro.experiments.suites`) declares the
+    ``totals.sparse_*`` built from them, including the gated
+    ``sparse_speedup``.
     """
     registry = registry if registry is not None else MetricsRegistry()
     dt = resolve_dtype(dtype) if dtype is not None else get_default_dtype()

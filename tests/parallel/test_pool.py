@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.blas import blas_threads, set_blas_threads
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.parallel import (
     TASK_TIMER_KEY,
@@ -128,6 +129,21 @@ class TestProcessPath:
     def test_single_item_stays_serial(self):
         results = parallel_map(_square, [6], workers=4)
         assert results[0].pid == os.getpid()
+
+    @pytest.mark.skipif(blas_threads() is None, reason="no bundled OpenBLAS")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_runs_one_blas_thread(self, workers):
+        before = blas_threads()
+        set_blas_threads(2)  # a multi-threaded parent, as on a 2+ CPU host
+        try:
+            results = parallel_map(
+                lambda _: blas_threads(), [0, 1, 2, 3], workers=workers
+            )
+            parent = blas_threads()
+        finally:
+            set_blas_threads(before)
+        assert [r.value for r in results] == [1, 1, 1, 1]
+        assert parent == 2  # the parent keeps its own count
 
 
 class TestFaultIsolation:

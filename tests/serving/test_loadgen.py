@@ -13,6 +13,7 @@ from repro.serving import (
 )
 from repro.serving.service import COHERENCE, TOP_WORDS, TRANSFORM
 from repro.telemetry import MetricsRegistry
+from repro.experiments.suites import SERVING_TOTALS
 from repro.telemetry.report import build_report
 
 
@@ -115,7 +116,7 @@ class TestLoadReport:
     def test_record_into_lands_serving_totals(self, report):
         metrics = MetricsRegistry()
         report.record_into(metrics)
-        built = build_report("serve-test", metrics)
+        built = build_report("serve-test", metrics, declared=SERVING_TOTALS)
         totals = built["totals"]
         assert totals["serving_requests"] == 30
         assert totals["serving_wall_seconds"] == pytest.approx(

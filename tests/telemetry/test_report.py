@@ -18,9 +18,13 @@ from repro.telemetry import (
     load_report,
     write_report,
 )
-from repro.telemetry.report import _epoch_totals, epoch_row
+from repro.experiments.suites import SUITES, declared_totals
+from repro.telemetry.report import HIGHER, LOWER, _epoch_totals, epoch_row
 
 REPO = Path(__file__).resolve().parent.parent.parent
+
+#: Every total the benchmark suites declare (the perf guard's gate set).
+DECLARED = declared_totals()
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -74,6 +78,12 @@ class TestBuildReport:
         assert totals["op_backward_seconds"] == pytest.approx(0.02)
         assert totals["op_calls"] == 4
         assert 0 < totals["contrastive_loss_share"] < 1
+
+    def test_meta_records_the_blas(self):
+        from repro.blas import blas_name, blas_threads
+
+        meta = build_report("demo", meta={"k": 1})["meta"]
+        assert meta == {"blas": blas_name(), "blas_threads": blas_threads(), "k": 1}
 
     def test_epoch_rows_from_history(self):
         rows = epoch_rows_from_history(
@@ -166,7 +176,7 @@ class TestCompareReports:
         return build_report("demo", registry=_populated_registry(), epochs=_epochs())
 
     def test_identical_reports_pass(self, baseline):
-        failures, table = compare_reports(baseline, copy.deepcopy(baseline))
+        failures, table = compare_reports(baseline, copy.deepcopy(baseline), DECLARED)
         assert failures == []
         assert "totals.epoch_seconds" in table
 
@@ -176,7 +186,7 @@ class TestCompareReports:
                     "epoch_seconds_mean"):
             slow["totals"][key] *= 3.0
         slow["totals"]["docs_per_sec"] /= 3.0
-        failures, table = compare_reports(baseline, slow, threshold=2.0)
+        failures, table = compare_reports(baseline, slow, DECLARED, threshold=2.0)
         failed_keys = {f.split(":")[0] for f in failures}
         assert "totals.epoch_seconds" in failed_keys
         assert "totals.docs_per_sec" in failed_keys  # rates gate on slowdowns too
@@ -187,7 +197,7 @@ class TestCompareReports:
         for key in ("op_seconds", "epoch_seconds", "epoch_seconds_mean"):
             fast["totals"][key] /= 3.0
         fast["totals"]["docs_per_sec"] *= 3.0
-        failures, _ = compare_reports(baseline, fast)
+        failures, _ = compare_reports(baseline, fast, DECLARED)
         assert failures == []
 
     def test_noise_floor_suppresses_tiny_timings(self, baseline):
@@ -195,13 +205,40 @@ class TestCompareReports:
         cur = copy.deepcopy(baseline)
         base["totals"]["op_seconds"] = 1e-5
         cur["totals"]["op_seconds"] = 1e-3  # 100x, but under the floor
-        failures, table = compare_reports(base, cur)
+        failures, table = compare_reports(base, cur, DECLARED)
         assert all("op_seconds" not in f for f in failures)
         assert "noise" in table
 
+    @pytest.mark.parametrize(
+        "drop", [("sparse_speedup", "sparse_docs_per_sec"), "all"], ids=["two", "all"]
+    )
+    def test_gated_total_missing_from_current_fails(self, drop):
+        baseline = load_report(REPO / "benchmarks" / "baselines" / "BENCH_sparse.json")
+        current = copy.deepcopy(baseline)
+        if drop == "all":
+            current["totals"] = {}
+            drop = ("sparse_sparse_seconds", "sparse_speedup", "sparse_docs_per_sec")
+        else:
+            for key in drop:
+                del current["totals"][key]
+        failures, table = compare_reports(baseline, current, DECLARED)
+        assert sorted(f.split(":")[0] for f in failures) == sorted(
+            f"totals.{key}" for key in drop
+        )
+        missing = [line.split() for line in table.splitlines() if "missing" in line]
+        assert sorted(row[0] for row in missing) == sorted(
+            f"totals.{key}" for key in drop
+        )
+        assert all(row[-1] == "FAIL" for row in missing)
+
+    def test_ungated_total_missing_from_current_passes(self, baseline):
+        current = copy.deepcopy(baseline)
+        del current["totals"]["op_calls"]  # informational, not gated
+        assert compare_reports(baseline, current, DECLARED)[0] == []
+
     def test_threshold_must_exceed_one(self, baseline):
         with pytest.raises(ValueError):
-            compare_reports(baseline, baseline, threshold=1.0)
+            compare_reports(baseline, baseline, DECLARED, threshold=1.0)
 
 
 class TestCheckRegressionScript:
@@ -249,6 +286,17 @@ class TestCheckRegressionScript:
         )
         assert result.returncode == 2
 
+    def test_exit_two_when_the_scales_differ(self, tmp_path):
+        baseline, _ = self._reports(tmp_path)
+        fast = copy.deepcopy(baseline)
+        fast["meta"]["fast"] = False
+        base_path = write_report(fast, tmp_path / "baseline.json")
+        fast["meta"]["fast"] = True
+        cur_path = write_report(fast, tmp_path / "current.json")
+        result = self._run("--baseline", str(base_path), "--current", str(cur_path))
+        assert result.returncode == 2
+        assert "meta.fast" in result.stderr
+
     def test_update_baseline_copies_current(self, tmp_path):
         baseline, _ = self._reports(tmp_path)
         cur_path = write_report(baseline, tmp_path / "current.json")
@@ -289,6 +337,9 @@ class TestCheckRegressionScript:
         assert result.returncode == 2
 
 
+STREAMING = SUITES["streaming"]
+
+
 class TestStreamingTotals:
     """PR 9: streaming-engine keys roll into perf-guard-gated totals."""
 
@@ -298,7 +349,7 @@ class TestStreamingTotals:
             reset_streaming_stats,
             StreamingNpmiEngine,
         )
-        from repro.telemetry.report import (
+        from repro.experiments.suites import (
             STREAMING_DOCS_KEY,
             STREAMING_RECOUNT_KEY,
             STREAMING_UPDATE_KEY,
@@ -320,7 +371,9 @@ class TestStreamingTotals:
         from repro.metrics.streaming import reset_streaming_stats
 
         try:
-            totals = build_report("demo", registry=self._registry())["totals"]
+            totals = build_report(
+                "demo", registry=self._registry(), declared=STREAMING.totals
+            )["totals"]
         finally:
             reset_streaming_stats()
         assert totals["streaming_update_seconds"] > 0
@@ -339,21 +392,21 @@ class TestStreamingTotals:
             assert key in totals
 
     def test_streaming_totals_are_gated(self):
-        from repro.telemetry.report import RATE_TOTALS, TIME_TOTALS
-
-        assert "streaming_update_seconds" in TIME_TOTALS
-        for key in (
-            "streaming_speedup",
-            "streaming_docs_per_sec",
-            "streaming_buffer_reuses",
-        ):
-            assert key in RATE_TOTALS
+        gates = {t.name: t.better for t in STREAMING.totals if t.better}
+        assert gates == {
+            "streaming_update_seconds": LOWER,
+            "streaming_speedup": HIGHER,
+            "streaming_docs_per_sec": HIGHER,
+            "streaming_buffer_reuses": HIGHER,
+        }
 
     def test_regression_guard_catches_streaming_slowdown(self):
-        base = build_report("demo", registry=self._registry())
+        base = build_report(
+            "demo", registry=self._registry(), declared=STREAMING.totals
+        )
         slow = copy.deepcopy(base)
         slow["totals"]["streaming_speedup"] = (
             base["totals"]["streaming_speedup"] / 10.0
         )
-        failures, _ = compare_reports(base, slow, threshold=2.0)
+        failures, _ = compare_reports(base, slow, DECLARED, threshold=2.0)
         assert any("streaming_speedup" in f for f in failures)

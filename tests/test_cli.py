@@ -462,3 +462,66 @@ class TestServeCommand:
         assert sum(meta["status_counts"].values()) == 60
         # The transient publication checkpoint is cleaned up afterwards.
         assert not list(tmp_path.glob("*.ckpt.npz"))
+
+
+#: Smoke-size arguments for every ``bench --suite`` choice but ``train``
+#: (covered by TestCommands.test_bench_writes_telemetry_report), in the
+#: order of the ``--suite`` choices.
+SUITE_SMOKE_ARGS = {
+    "ops": ["--repeats", "2", "--dtype", "float32"],
+    "sparse": ["--repeats", "1", "--dtype", "float32"],
+    "multiseed": [
+        "--model", "etm", "--scale", "0.08", "--num-topics", "6",
+        "--epochs", "2", "--num-seeds", "2", "--workers", "2",
+    ],
+    "streaming": ["--stream-slices", "4", "--stream-docs", "30"],
+    "regularizers": [
+        "--scale", "0.08", "--num-topics", "6", "--epochs", "2",
+        "--num-seeds", "1", "--workers", "1",
+    ],
+}
+
+
+class TestBenchSuites:
+    def _bench(self, suite, path):
+        from repro.telemetry import load_report
+
+        output = _run(
+            ["bench", "--suite", suite, *SUITE_SMOKE_ARGS[suite],
+             "--telemetry", str(path)]
+        )
+        assert "wrote telemetry report" in output
+        return load_report(path), output
+
+    def test_every_suite_choice_has_a_smoke_run(self):
+        from repro.experiments.suites import SUITES
+
+        for suite in ("train", *SUITE_SMOKE_ARGS):
+            args = build_parser().parse_args(
+                ["bench", "--suite", suite, "--telemetry", "x.json"]
+            )
+            assert args.suite == suite
+        assert list(SUITES) == list(SUITE_SMOKE_ARGS)
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_SMOKE_ARGS))
+    def test_suite_runs_through_main(self, suite, tmp_path):
+        from repro.experiments.suites import SUITES
+
+        report, output = self._bench(suite, tmp_path / f"BENCH_{suite}.json")
+        assert report["name"] == suite
+        assert report["meta"]["suite"] == suite
+        assert "blas_threads" in report["meta"]
+        # Every gated total the suite declares made it into the report.
+        gated = {t.name for t in SUITES[suite].totals if t.better}
+        assert gated <= set(report["totals"])
+        if suite == "regularizers":
+            assert "Regularizer leaderboard" in output
+
+    def test_streaming_runs_in_one_process_report_equal_counts(self, tmp_path):
+        first, _ = self._bench("streaming", tmp_path / "a.json")
+        second, _ = self._bench("streaming", tmp_path / "b.json")
+        assert first["totals"]["streaming_updates"] == 4
+        assert second["totals"]["streaming_updates"] == 4
+        assert first["totals"]["streaming_documents"] == (
+            second["totals"]["streaming_documents"]
+        )
