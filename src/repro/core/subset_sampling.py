@@ -14,6 +14,56 @@ and a relaxed top-v procedure is applied to the keys:
 The relaxed v-hot sample is y_k = Σ_{j=1..v} p(r_k^j = 1)   — a vector in
 [0, 1]^V summing to v that converges to the exact hard top-v indicator as
 τ → 0, while remaining differentiable w.r.t. β for any τ > 0.
+
+Probability domain
+------------------
+Exponentiating Eq. 4 gives exp(r^{j+1}/τ) = exp(r^j/τ)·(1 − p_j)^{1/τ},
+and Eq. 5 normalizes exp(r^j/τ) per row, so the whole recurrence runs on
+the probabilities themselves:
+
+    w_j     = (1 + ε − p_j)^{1/τ}          (0 where p_j > _SATURATION)
+    s_j     = Σ_k p_j,k · w_j,k             (one number per topic)
+    p_{j+1} = p_j ⊙ w_j / s_j
+
+One max-shifted softmax of (log β + g)/τ starts it; each further step is
+a subtraction, a power, a product, a row sum and a rescale, with no
+``exp`` and no ``log``.  The power is a square at τ = 0.5 and vanishes
+at τ = 1 (:func:`_power`).  The log domain's saturation rule — a word whose
+probability exceeds ``_SATURATION`` gets the key penalty ``_KNOCKOUT`` —
+is exp(−1e6/τ) = 0 here, which is ``w = 0``; as in the log domain, no
+gradient flows through it.  A saturated word holds all but 1 −
+``_SATURATION`` of its row, so only a row whose unmasked s_j is that
+small can hold one; a step applies the rule only when some row is
+(``_saturation_bound``).
+
+The backward is the reverse sweep of Eqs. 4-5 over the keys, and reads
+only the kept p_j: with R_j = dL/dr_j and G_j = dL/dy + R_{j+1}·dr_{j+1}/dp_j,
+
+    dr_{j+1}/dp_j = −1/(1 + ε − p_j)       (0 where p_j > _SATURATION)
+    R_j           = R_{j+1} + (1/τ)·p_j ⊙ (G_j − ⟨G_j, p_j⟩)
+
+It is the gradient of the probability-domain recurrence too, which
+computes the same p_j.  Differentiating that recurrence directly,
+through q_j = p_j ⊙ w_j and p_{j+1} = q_j / s_j, needs
+dq/dp = (1 + ε − p)^{1/τ − 1}·(1 + ε − (1 + 1/τ)·p): one more power per
+step wherever 1/τ − 1 is not 0, 1 or 2.  Measured, it was no faster than
+the key sweep at τ = 0.5 and 1 and twice as slow at τ = 0.3, so the key
+sweep stays.  The forward therefore keeps the (v, K, V) probabilities
+and a flag per step, nothing more.
+
+The log domain re-shifts the keys by their maximum at every step; the
+probability domain cannot.  Once the words that survive a step carry
+almost no mass, p_j ⊙ w_j underflows and what is left is rounding (at
+τ = 1e-3 a row is exactly one-hot after the first softmax, s = 0 and the
+next step is 0/0).  Every step therefore checks its row sums against
+``_SUM_FLOOR`` = sqrt(finfo(dtype).tiny): a row above it loses only
+products below tiny, i.e. words under sqrt(tiny) of the row's mass
+(1e-19 in float32), far below the precision either domain carries.
+When any row falls under it, the whole call reruns through
+:func:`_log_domain`, the recurrence on the keys as Eqs. 4-5 write it.
+At the paper's τ = 0.5 the fallback does not fire in training;
+:func:`sampler_stats` counts calls and fallbacks per process, so a run
+can tell.
 """
 
 from __future__ import annotations
@@ -21,9 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.tensor import fused
 from repro.tensor.tensor import Tensor, as_tensor
-from repro.tensor.tensor import where as tensor_where
 
 _EPS = 1e-12
 
@@ -49,6 +97,25 @@ def sample_gumbel(
 #: diverges); no gradient flows through the saturated branch.
 _SATURATION = 1.0 - 1e-4
 _KNOCKOUT = -1e6
+
+#: Smallest row sum s_j the probability domain trusts, per dtype.
+_SUM_FLOOR = {
+    np.dtype(t): np.sqrt(np.finfo(t).tiny) for t in (np.float32, np.float64)
+}
+
+_SAMPLER_STATS = {"calls": 0, "log_domain_fallbacks": 0}
+
+
+def sampler_stats() -> dict[str, int]:
+    """Process-wide sampler counters: calls, and calls that fell back to
+    the log domain (since the last reset)."""
+    return dict(_SAMPLER_STATS)
+
+
+def reset_sampler_stats() -> None:
+    """Zero the process-wide sampler counters (tests use this)."""
+    for key in _SAMPLER_STATS:
+        _SAMPLER_STATS[key] = 0
 
 
 def _validate(log_probs: Tensor, num_samples: int, temperature: float) -> None:
@@ -96,34 +163,128 @@ def relaxed_topk_sample(
     ``(K, V)`` tensor y with entries in [0, 1] and rows summing to
     ``num_samples``.
 
-    This is the fused kernel: the whole v-step recurrence runs in raw
-    numpy as one graph node, with a single hand-derived backward that
-    replays it in reverse (the per-step probabilities are kept from the
-    forward).  The composed reference —
-    :func:`relaxed_topk_sample_composed`, which builds ~6 graph nodes per
-    step — stays as executable documentation and test oracle; the two
-    give bitwise-equal samples and agree to 1e-8 in gradients (see
-    ``tests/core/test_subset_sampling.py``).
-    The recurrence itself is inherently sequential in ``j`` (step ``j+1``
-    reads step ``j``'s probabilities), so the fusion removes the
-    per-step graph/closure overhead rather than the loop.  Both sweeps
-    allocate nothing per step: each step's softmax is written straight
-    into its slot of the kept probabilities, the suppression and the
-    reverse sweep's terms go through a few preallocated ``(K, V)`` work
-    buffers and one reused boolean saturation mask (``out=`` ufuncs, the
-    same operations in the same order, so results are bit for bit those
-    of the allocating form), and the last step's suppression — which no
-    later step reads — is skipped.
+    This is one graph node with a hand-derived backward.  It runs the
+    recurrence in the probability domain (module docstring) and falls
+    back to the log-domain recurrence for the whole call when a row's
+    surviving mass underflows.  The composed reference
+    (``tests/core/_composed_sampler.py``, ~6 graph nodes per step) is
+    the oracle for both: the fallback's samples equal it bit for bit,
+    and in float64 the probability domain agrees with it to 1e-8 in
+    samples and gradients (``tests/core/test_subset_sampling.py``).
     """
     log_probs = as_tensor(log_probs)
     _validate(log_probs, num_samples, temperature)
     noise = _resolve_noise(log_probs, gumbel_noise, rng)
-    shape = log_probs.shape
-    dtype = log_probs.data.dtype
+    keys = log_probs.data + noise.astype(log_probs.data.dtype, copy=False)
     inv_temp = 1.0 / temperature
+    _SAMPLER_STATS["calls"] += 1
+    sample = _probability_domain(log_probs, keys, num_samples, inv_temp)
+    if sample is None:
+        _SAMPLER_STATS["log_domain_fallbacks"] += 1
+        sample = _log_domain(log_probs, keys, num_samples, inv_temp)
+    return sample
+
+
+def _power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` in place: ``np.power`` takes no fast path for
+    the exponents τ = 1 and τ = 0.5 give, so those are spelled out."""
+    if exponent == 1.0:
+        return base
+    if exponent == 2.0:
+        return np.square(base, out=base)
+    return np.power(base, exponent, out=base)
+
+
+def _saturation_bound(inv_temp: float) -> float:
+    """A row sum of p ⊙ (1 + ε − p)^{1/τ} above this rules out a saturated
+    word in the row: its other words hold under 1 − _SATURATION of the
+    mass, each weighted at most (1 + ε)^{1/τ}, and the saturated word's
+    own weight is under (1 − _SATURATION + ε)^{1/τ}.  Doubled against
+    rounding."""
+    rest = 1.0 - _SATURATION
+    return 2.0 * (rest * (1.0 + _EPS) ** inv_temp + (rest + _EPS) ** inv_temp)
+
+
+def _probability_domain(
+    log_probs: Tensor, keys: np.ndarray, num_samples: int, inv_temp: float
+) -> Tensor | None:
+    """The recurrence on the probabilities, or ``None`` when a row sum
+    falls under ``_SUM_FLOOR`` (the caller then takes the log domain)."""
+    shape = keys.shape
+    dtype = keys.dtype
+    floor = _SUM_FLOOR[dtype]
+    bound = _saturation_bound(inv_temp)
+    one = dtype.type(1.0 + _EPS)
+    # Per-step selection probabilities, kept for the reverse sweep;
+    # ``masked[j]`` records whether step j applied the saturation rule.
+    probs = np.empty((num_samples, *shape), dtype=dtype)
+    masked = []
+
+    # Eq. 5 at j = 0: max-shifted softmax of the tempered keys.
+    p = np.multiply(keys, inv_temp, out=probs[0])
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    out_data = p.copy()
+    weight = np.empty(shape, dtype=dtype)
+    for j in range(num_samples - 1):
+        p = probs[j]
+        np.subtract(one, p, out=weight)
+        q = np.multiply(p, _power(weight, inv_temp), out=probs[j + 1])
+        s = q.sum(axis=1)
+        saturable = bool(s.min() <= bound)
+        if saturable:
+            np.copyto(q, 0, where=p > _SATURATION)
+            s = q.sum(axis=1)
+        masked.append(saturable)
+        if not s.min() >= floor:  # also catches NaN
+            return None
+        q /= s[:, None]
+        out_data += q
+
+    def backward(grad: np.ndarray) -> None:
+        if not log_probs.requires_grad:
+            return
+        # Reverse sweep over the keys (module docstring).  ``gr`` carries
+        # τ·dL/dr_j; the last step has no suppression path.
+        p = probs[-1]
+        gr = np.subtract(grad, np.einsum("kv,kv->k", grad, p)[:, None], dtype=dtype)
+        gr *= p
+        gp = np.empty(shape, dtype=dtype)
+        for j in range(num_samples - 2, -1, -1):
+            p = probs[j]
+            np.subtract(one, p, out=gp)
+            if masked[j]:
+                # −1/∞ = 0 for saturated words, with no divide by zero
+                # where a float32 p rounds to 1.
+                np.copyto(gp, np.inf, where=p > _SATURATION)
+            np.divide(-inv_temp, gp, out=gp)
+            gp *= gr
+            gp += grad
+            gp -= np.einsum("kv,kv->k", gp, p)[:, None]
+            gp *= p
+            gr += gp
+        gr *= inv_temp
+        log_probs._accumulate(gr)
+
+    return Tensor._make(out_data, (log_probs,), backward)
+
+
+def _log_domain(
+    log_probs: Tensor, r: np.ndarray, num_samples: int, inv_temp: float
+) -> Tensor:
+    """The recurrence on the keys ``r`` (consumed), Eqs. 4-5 as written.
+
+    Both sweeps allocate nothing per step: each step's softmax is written
+    straight into its slot of the kept probabilities, the suppression and
+    the reverse sweep's terms go through a few preallocated ``(K, V)``
+    work buffers and one reused boolean saturation mask, and the last
+    step's suppression — which no later step reads — is skipped.
+    """
+    shape = r.shape
+    dtype = r.dtype
     knockout = dtype.type(_KNOCKOUT)
 
-    r = log_probs.data + noise.astype(dtype, copy=False)
     # Per-step selection probabilities, kept for the reverse sweep.
     probs = np.empty((num_samples, *shape), dtype=dtype)
     out_data = np.zeros(shape, dtype=dtype)
@@ -178,49 +339,6 @@ def relaxed_topk_sample(
         log_probs._accumulate(gr)
 
     return Tensor._make(out_data, (log_probs,), backward)
-
-
-def relaxed_topk_sample_composed(
-    log_probs: Tensor,
-    num_samples: int,
-    temperature: float,
-    gumbel_noise: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Reference composition of :func:`relaxed_topk_sample`.
-
-    Builds the recurrence from primitive autodiff ops (softmax / clip /
-    log / where — ~6 graph nodes and closures per sampled word); the
-    fused kernel must stay equivalent to this to 1e-8 in both the sample
-    and the gradient.  Kept for tests and as executable documentation of
-    Eqs. 4-5.
-    """
-    log_probs = as_tensor(log_probs)
-    _validate(log_probs, num_samples, temperature)
-    noise = _resolve_noise(log_probs, gumbel_noise, rng)
-
-    keys = log_probs + Tensor(noise, dtype=log_probs.data.dtype)
-    inv_temp = 1.0 / temperature
-    y: Tensor | None = None
-    r = keys
-    for _ in range(num_samples):
-        # Eq. 5: softmax of the tempered keys (fused max-shifted kernel).
-        p = fused.softmax(r * inv_temp, axis=1)
-        y = p if y is None else y + p
-        # Eq. 4's suppression log(1 - p).  For p -> 1 the log diverges and
-        # a merely-large finite value may still lose to words whose own
-        # log-probability is extremely negative; once a word is effectively
-        # fully selected, knock it out with a decisive constant penalty
-        # (no gradient flows through the saturated branch anyway).
-        saturated = p.data > _SATURATION
-        suppression = tensor_where(
-            saturated,
-            Tensor(np.full(p.shape, _KNOCKOUT, dtype=p.data.dtype)),
-            (1.0 - p.clip(high=_SATURATION) + _EPS).log(),
-        )
-        r = r + suppression
-    assert y is not None
-    return y
 
 
 def hard_topk_sample(

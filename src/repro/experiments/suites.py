@@ -43,6 +43,7 @@ from repro.serving.loadgen import (
     SERVING_WALL_KEY,
 )
 from repro.telemetry import MetricsRegistry, build_report
+from repro.telemetry.callback import SAMPLER_COUNTER_PREFIX
 from repro.telemetry.microbench import (
     SPARSE_BATCH,
     SPARSE_DENSE_KEY,
@@ -134,6 +135,7 @@ TRAINING_TOTALS = (
     Total("epoch_seconds", better=LOWER),
     Total("epoch_seconds_mean", better=LOWER),
     Total("docs_per_sec", better=HIGHER),
+    Total("sampler_*", SAMPLER_COUNTER_PREFIX),
 )
 
 SERVING_TOTALS = (

@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 from typing import IO
 
+from repro.core.subset_sampling import sampler_stats
 from repro.io import commit_file
 from repro.nn.module import Module
 from repro.telemetry.core import MetricsRegistry
@@ -32,6 +33,10 @@ from repro.training.callbacks import Callback
 #: Epoch-log prefix the resilience guard uses; matching keys are folded
 #: into the registry as ``guard/<name>`` counters.
 GUARD_LOG_PREFIX = "guard_"
+
+#: Registry prefix of a fit's relaxed top-k sampler counters
+#: (``sampler/calls``, ``sampler/log_domain_fallbacks``).
+SAMPLER_COUNTER_PREFIX = "sampler/"
 
 
 class TelemetryCallback(Callback):
@@ -77,6 +82,7 @@ class TelemetryCallback(Callback):
         self._owns_stream = False
         self._tmp_path: Path | None = None
         self._fit_start = 0.0
+        self._sampler_mark: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _emit(self, record: dict) -> dict:
@@ -98,6 +104,7 @@ class TelemetryCallback(Callback):
             self._stream = self._tmp_path.open("w", encoding="utf-8")
             self._owns_stream = True
         self._fit_start = time.perf_counter()
+        self._sampler_mark = sampler_stats()
         self.records.clear()
         self.epochs.clear()
         record = {
@@ -136,15 +143,27 @@ class TelemetryCallback(Callback):
 
     def on_fit_end(self, model) -> None:
         wall = time.perf_counter() - self._fit_start
-        self._emit(
-            {
-                "event": "fit_end",
-                "epochs_run": len(self.epochs),
-                "wall_seconds": wall,
-            }
-        )
+        record = {
+            "event": "fit_end",
+            "epochs_run": len(self.epochs),
+            "wall_seconds": wall,
+        }
+        # The relaxed top-k sampler's calls during this fit, and how many
+        # of them fell back to the log domain (a run that samples at all).
+        sampled = {
+            name: value - self._sampler_mark.get(name, 0)
+            for name, value in sampler_stats().items()
+        }
+        if sampled["calls"]:
+            record["sampler"] = sampled
+        self._emit(record)
         if self.registry is not None:
             self.registry.record_seconds("train/fit", wall, absolute=True)
+            if sampled["calls"]:
+                for name, value in sampled.items():
+                    self.registry.count(
+                        SAMPLER_COUNTER_PREFIX + name, value, absolute=True
+                    )
         if self._owns_stream and self._stream is not None:
             self._stream.flush()
             os.fsync(self._stream.fileno())

@@ -1,12 +1,12 @@
 """The allocating sampler and Gumbel draw as they stood before the
 in-place rewrite, kept verbatim as bitwise oracles.
 
-The composed reference ``relaxed_topk_sample_composed`` reproduces the
-fused sampler's *samples* bit for bit but its gradient only to ~1e-8
-(its softmax and tempering are separate graph nodes, so the backward
-rounds differently).  The in-place kernel claims more — bitwise equality
-with the allocating form in samples *and* gradients — so the tests pin it
-against this copy.
+The composed reference (``_composed_sampler``) reproduces the log-domain
+body's *samples* bit for bit but its gradient only to ~1e-8 (its softmax
+and tempering are separate graph nodes, so the backward rounds
+differently).  The log-domain body — today the sampler's fallback —
+claims more: bitwise equality with the allocating form in samples *and*
+gradients, so the tests pin it against this copy.
 """
 
 import numpy as np

@@ -2,12 +2,13 @@
 through their references.
 
 The references patched in are the composed Eq. 2 loss
-(``topic_contrastive_loss_composed``) and the allocating sampler and
-Gumbel draw the in-place kernels replaced (``tests/core/_legacy_sampler``;
-the composed sampler's gradient differs in rounding, see there).  Both
-routes to the term are covered — the ContraTopic facade and the standalone
-``contrastive`` objective spec on a bare ETM — in every contrastive mode
-and in both float dtypes.  Parameters, every loss column of the history
+(``topic_contrastive_loss_composed``) and the allocating Gumbel draw the
+in-place kernel replaced (``tests/core/_legacy_sampler``).  The relaxed
+top-k sampler is the same kernel on both sides: its probability domain
+is not bitwise any reference, and ``test_subset_sampling.py`` holds its
+oracles.  Both routes to the term are covered — the ContraTopic facade
+and the standalone ``contrastive`` objective spec on a bare ETM — in
+every contrastive mode and in both float dtypes.  Parameters, every loss column of the history
 and every RNG stream must come out identical.
 """
 
@@ -28,10 +29,7 @@ from repro.models import ETM
 from repro.objectives import ObjectiveSpec
 from repro.tensor.dtypes import default_dtype
 from repro.training.trainer import RunSpec, Trainer
-from tests.core._legacy_sampler import (
-    legacy_relaxed_topk_sample,
-    legacy_sample_gumbel,
-)
+from tests.core._legacy_sampler import legacy_sample_gumbel
 
 LOSS_KEYS = ("rec", "kl", "extra", "total", "grad_norm", "objective_contrastive")
 NEGATIVE_WEIGHT = 3.0
@@ -79,7 +77,6 @@ def test_training_is_bitwise_the_reference_training(
     calls: dict[str, int] = {}
     for module, name, reference in (
         (subset_sampling, "sample_gumbel", legacy_sample_gumbel),
-        (subset_sampling, "relaxed_topk_sample", legacy_relaxed_topk_sample),
         (contrastive, "topic_contrastive_loss",
          contrastive.topic_contrastive_loss_composed),
     ):
@@ -90,7 +87,6 @@ def test_training_is_bitwise_the_reference_training(
     batches = len(fused.history) * -(-len(tiny_corpus) // config.batch_size)
     assert calls == {
         "sample_gumbel": batches,
-        "relaxed_topk_sample": batches,
         "topic_contrastive_loss": batches,
     }
 

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import hard_topk_sample, relaxed_topk_sample, sample_gumbel
+from repro.core import (
+    hard_topk_sample,
+    relaxed_topk_sample,
+    sample_gumbel,
+    subset_sampling,
+)
 from repro.errors import ConfigError
 from repro.tensor import Tensor, gradcheck, softmax
+from repro.tensor.tensor import as_tensor
+from tests.core._composed_sampler import relaxed_topk_sample_composed
 
 
 def _log_probs(rng, k=3, v=12):
@@ -109,36 +115,34 @@ class TestGumbelNoise:
         assert abs(g.var() - np.pi**2 / 6) < 0.05
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    v=st.integers(min_value=2, max_value=15),
-    k=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_property_relaxed_sample_is_valid_soft_subset(v, k, seed):
-    """For any (topics, vocab, v) the relaxed sample stays a soft v-subset."""
-    rng = np.random.default_rng(seed)
-    num = min(k + 1, v)
-    log_probs = np.log(rng.dirichlet(np.ones(v), size=2) + 1e-12)
-    y = relaxed_topk_sample(Tensor(log_probs), num, 0.5, rng=rng).data
-    np.testing.assert_allclose(y.sum(axis=1), np.full(2, float(num)), atol=1e-6)
-    assert (y >= -1e-9).all()
+def _log_domain_sample(log_probs, num_samples, temperature, gumbel_noise):
+    """The log-domain fallback body alone, with the sampler's signature."""
+    log_probs = as_tensor(log_probs)
+    keys = log_probs.data + np.asarray(gumbel_noise).astype(
+        log_probs.data.dtype, copy=False
+    )
+    return subset_sampling._log_domain(
+        log_probs, keys, num_samples, 1.0 / temperature
+    )
+
+
+def _fallbacks():
+    return subset_sampling.sampler_stats()["log_domain_fallbacks"]
 
 
 class TestFusedMatchesComposed:
-    """The fused single-node sampler against the composed reference."""
+    """The single-node sampler against the composed reference: its
+    log-domain fallback bit for bit in samples, its probability domain to
+    1e-8 in float64."""
 
-    def _pair(self, seed, k=5, v=30, num=6, temperature=0.5, scale=1.0):
-        from repro.core.subset_sampling import relaxed_topk_sample_composed
-
+    def _pair(self, seed, k=5, v=30, num=6, temperature=0.5, scale=1.0,
+              sampler=relaxed_topk_sample):
         rng = np.random.default_rng(seed)
         log_probs = _log_probs(rng, k=k, v=v) * scale
         noise = sample_gumbel(log_probs.shape, rng)
         fused_in = Tensor(log_probs.copy(), requires_grad=True)
         composed_in = Tensor(log_probs.copy(), requires_grad=True)
-        fused_out = relaxed_topk_sample(
-            fused_in, num, temperature, gumbel_noise=noise
-        )
+        fused_out = sampler(fused_in, num, temperature, gumbel_noise=noise)
         composed_out = relaxed_topk_sample_composed(
             composed_in, num, temperature, gumbel_noise=noise
         )
@@ -146,8 +150,11 @@ class TestFusedMatchesComposed:
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
     def test_forward_equivalent(self, temperature):
-        # Same ufuncs in the same order: the samples are bitwise equal.
-        _, fused_out, _, composed_out = self._pair(0, temperature=temperature)
+        # Same ufuncs in the same order: the fallback's samples are
+        # bitwise the composed ones.
+        _, fused_out, _, composed_out = self._pair(
+            0, temperature=temperature, sampler=_log_domain_sample
+        )
         np.testing.assert_array_equal(fused_out.data, composed_out.data)
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
@@ -167,7 +174,7 @@ class TestFusedMatchesComposed:
         # Tiny temperature saturates p -> 1: the knock-out branch (zero
         # gradient) must engage identically on both paths.
         fused_in, fused_out, composed_in, composed_out = self._pair(
-            2, temperature=0.01, scale=5.0, num=3
+            2, temperature=0.01, scale=5.0, num=3, sampler=_log_domain_sample
         )
         np.testing.assert_array_equal(fused_out.data, composed_out.data)
         fused_out.backward(np.ones(fused_out.shape))
@@ -207,9 +214,174 @@ class TestFusedMatchesComposed:
         assert log_probs.grad.dtype == np.float32
 
 
+def _run(sampler, log_probs, noise, num, temperature, upstream):
+    x = Tensor(log_probs.copy(), requires_grad=True)
+    with np.errstate(all="ignore"):
+        y = sampler(x, num, temperature, gumbel_noise=noise)
+        y.backward(upstream)
+    return y.data, x.grad
+
+
+class TestProbabilityDomain:
+    """The recurrence on the probabilities: the composed reference in
+    float64, the log domain's own error in float32, finite differences."""
+
+    CASES = [
+        # (seed, K, V, v, temperature, scale)
+        (0, 5, 30, 6, 0.5, 1.0),
+        (1, 1, 12, 1, 0.5, 1.0),      # one draw: the softmax alone
+        (2, 7, 40, 10, 0.3, 1.0),     # 1/τ not an integer: np.power
+        (3, 6, 50, 8, 1.0, 1.0),      # 1/τ = 1: no power at all
+        (4, 6, 50, 8, 2.0, 1.0),
+        (5, 4, 25, 3, 0.5, 5.0),      # saturated: w = 0 engages
+        (6, 7, 40, 10, 0.2, 3.0),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float64_matches_the_composed_reference(self, case):
+        seed, k, v, num, temperature, scale = case
+        rng = np.random.default_rng(seed)
+        log_probs = _log_probs(rng, k=k, v=v) * scale
+        noise = sample_gumbel(log_probs.shape, rng)
+        upstream = rng.normal(size=log_probs.shape)
+        before = _fallbacks()
+        y, grad = _run(
+            relaxed_topk_sample, log_probs, noise, num, temperature, upstream
+        )
+        assert _fallbacks() == before
+        y_ref, grad_ref = _run(
+            relaxed_topk_sample_composed, log_probs, noise, num, temperature, upstream
+        )
+        np.testing.assert_allclose(y, y_ref, atol=1e-8, rtol=0)
+        np.testing.assert_allclose(grad, grad_ref, atol=1e-8, rtol=0)
+        if scale == 5.0:
+            assert (y > subset_sampling._SATURATION).any()
+
+    def test_float32_error_within_twice_the_log_domain(self):
+        # Root-mean-square error against the float64 composed reference,
+        # pooled over draws, per (τ, β concentration).
+        for concentration in (1.0, 0.05, 0.005):
+            for temperature in (0.1, 0.2, 0.3, 0.5, 1.0):
+                errors = np.zeros((2, 2))
+                for seed in range(4):
+                    rng = np.random.default_rng(seed)
+                    beta = rng.dirichlet(np.full(200, concentration), size=20)
+                    log_probs = np.log(beta + 1e-12)
+                    noise = sample_gumbel(log_probs.shape, rng)
+                    upstream = rng.normal(size=log_probs.shape)
+                    reference = _run(
+                        relaxed_topk_sample_composed, log_probs, noise, 10,
+                        temperature, upstream,
+                    )
+                    for row, sampler in enumerate(
+                        (relaxed_topk_sample, _log_domain_sample)
+                    ):
+                        got = _run(
+                            sampler, log_probs.astype(np.float32), noise, 10,
+                            temperature, upstream.astype(np.float32),
+                        )
+                        for col in range(2):
+                            diff = got[col].astype(np.float64) - reference[col]
+                            errors[row, col] += (diff**2).sum()
+                fast, log_domain = np.sqrt(errors)
+                assert (fast <= 2.0 * log_domain).all(), (
+                    concentration, temperature, fast, log_domain,
+                )
+
+    def test_saturated_float32_raises_no_floating_point_error(self):
+        # Peaked β at τ = 0.3 rounds some float32 p_j to exactly 1.
+        rng = np.random.default_rng(0)
+        beta = rng.dirichlet(np.full(504, 0.05), size=50)
+        log_probs = np.log(beta + 1e-12).astype(np.float32)
+        noise = sample_gumbel(log_probs.shape, rng)
+        x = Tensor(log_probs, requires_grad=True)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            y = relaxed_topk_sample(x, 10, 0.3, gumbel_noise=noise)
+            y.backward(np.ones(y.shape, dtype=np.float32))
+        assert np.isfinite(x.grad).all()
+
+    @pytest.mark.parametrize("temperature", [0.3, 0.5, 1.0])
+    def test_gradcheck(self, temperature):
+        rng = np.random.default_rng(7)
+        noise = sample_gumbel((3, 8), rng)
+        beta_logits = rng.normal(size=(3, 8))
+
+        def f(logits):
+            log_beta = (softmax(logits, axis=1) + 1e-12).log()
+            y = relaxed_topk_sample(log_beta, 4, temperature, gumbel_noise=noise)
+            return (y * np.arange(8.0)).sum()
+
+        before = _fallbacks()
+        assert gradcheck(f, [beta_logits], atol=1e-4, rtol=1e-3)
+        assert _fallbacks() == before
+
+
+class TestLogDomainFallback:
+    """Where the surviving mass underflows, the whole call reruns through
+    the log-domain body, bit for bit."""
+
+    def _peaked(self, seed, dtype, concentration=0.005):
+        rng = np.random.default_rng(seed)
+        beta = rng.dirichlet(np.full(504, concentration), size=50)
+        log_probs = np.log(beta + 1e-12)
+        noise = sample_gumbel(log_probs.shape, rng)
+        upstream = rng.normal(size=log_probs.shape)
+        return log_probs.astype(dtype), noise, upstream.astype(dtype)
+
+    def test_peaked_float32_at_low_temperature_takes_the_fallback(self):
+        log_probs, noise, upstream = self._peaked(0, np.float32)
+        before = _fallbacks()
+        y, grad = _run(relaxed_topk_sample, log_probs, noise, 10, 0.1, upstream)
+        assert _fallbacks() == before + 1
+        y_log, grad_log = _run(
+            _log_domain_sample, log_probs, noise, 10, 0.1, upstream
+        )
+        assert y.tobytes() == y_log.tobytes()
+        assert grad.tobytes() == grad_log.tobytes()
+        # So its error against the float64 reference is the log-domain
+        # kernel's own float32 error.
+        y_ref, _ = _run(
+            relaxed_topk_sample_composed, log_probs.astype(np.float64), noise,
+            10, 0.1, upstream.astype(np.float64),
+        )
+        assert np.abs(y - y_ref).max() < 1e-3
+
+    def test_no_fallback_at_the_training_shape(self, monkeypatch):
+        calls = []
+        log_domain = subset_sampling._log_domain
+
+        def spy(*args):
+            calls.append(args[2])
+            return log_domain(*args)
+
+        monkeypatch.setattr(subset_sampling, "_log_domain", spy)
+        concentrations = (1.0, 0.3, 0.05, 0.005)
+        for seed in range(50):
+            log_probs, noise, _ = self._peaked(
+                seed, np.float32, concentrations[seed % 4]
+            )
+            relaxed_topk_sample(Tensor(log_probs), 10, 0.5, gumbel_noise=noise)
+        assert calls == []
+        relaxed_topk_sample(Tensor(log_probs), 10, 1e-3, gumbel_noise=noise)
+        assert calls == [10]
+
+    def test_counter_counts_calls_and_fallbacks(self):
+        rng = np.random.default_rng(8)
+        log_probs = Tensor(_log_probs(rng))
+        subset_sampling.reset_sampler_stats()
+        assert subset_sampling.sampler_stats() == {
+            "calls": 0, "log_domain_fallbacks": 0,
+        }
+        relaxed_topk_sample(log_probs, 4, 0.5, rng=rng)
+        relaxed_topk_sample(log_probs, 4, 1e-3, rng=rng)
+        assert subset_sampling.sampler_stats() == {
+            "calls": 2, "log_domain_fallbacks": 1,
+        }
+
+
 class TestInPlaceKernelIsBitwise:
-    """The in-place sampler and Gumbel draw against the allocating forms
-    they replaced (kept verbatim in ``_legacy_sampler``)."""
+    """The log-domain body and the in-place Gumbel draw against the
+    allocating forms they replaced (kept verbatim in ``_legacy_sampler``)."""
 
     CASES = [
         # (seed, K, V, v, temperature, scale)
@@ -228,13 +400,6 @@ class TestInPlaceKernelIsBitwise:
         upstream = rng.normal(size=log_probs.shape).astype(dtype)
         return log_probs, noise, upstream
 
-    def _run(self, fn, log_probs, noise, num, temperature, upstream):
-        x = Tensor(log_probs.copy(), requires_grad=True)
-        with np.errstate(all="ignore"):
-            y = fn(x, num, temperature, gumbel_noise=noise)
-            y.backward(upstream)
-        return y.data, x.grad
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", CASES)
     def test_samples_and_gradients_equal_the_allocating_form(self, case, dtype):
@@ -242,10 +407,10 @@ class TestInPlaceKernelIsBitwise:
 
         seed, k, v, num, temperature, scale = case
         log_probs, noise, upstream = self._inputs(seed, k, v, scale, dtype)
-        y_new, g_new = self._run(
-            relaxed_topk_sample, log_probs, noise, num, temperature, upstream
+        y_new, g_new = _run(
+            _log_domain_sample, log_probs, noise, num, temperature, upstream
         )
-        y_old, g_old = self._run(
+        y_old, g_old = _run(
             legacy_relaxed_topk_sample, log_probs, noise, num, temperature, upstream
         )
         assert y_new.dtype == y_old.dtype == dtype

@@ -4,10 +4,12 @@ import io
 
 import pytest
 
+from repro.experiments.suites import TRAINING_TOTALS
 from repro.models.prodlda import ProdLDA
 from repro.telemetry import (
     MetricsRegistry,
     TelemetryCallback,
+    build_report,
     epoch_rows_from_history,
     read_jsonl,
 )
@@ -154,3 +156,47 @@ class TestStreamSink:
         assert not stream.closed
         lines = [line for line in stream.getvalue().splitlines() if line]
         assert len(lines) == len(callback.records)
+
+
+class TestSamplerCounters:
+    """A fit that samples reports its sampler calls and log-domain
+    fallbacks; a fit that does not sample reports neither."""
+
+    def test_contrastive_fit_counts_its_sampler_calls(
+        self, tiny_corpus, tiny_npmi, tiny_embeddings, fast_config
+    ):
+        from dataclasses import replace
+
+        from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
+        from repro.models import ETM
+        from repro.training.trainer import Trainer
+
+        config = replace(fast_config, epochs=2)
+        model = ContraTopic(
+            ETM(tiny_corpus.vocab_size, config, tiny_embeddings.vectors),
+            npmi_kernel(tiny_npmi),
+            ContraTopicConfig(),
+        )
+        registry = MetricsRegistry()
+        callback = TelemetryCallback(registry=registry)
+        Trainer().fit(model, tiny_corpus, callbacks=[callback])
+
+        batches = config.epochs * -(-len(tiny_corpus) // config.batch_size)
+        assert callback.records[-1]["sampler"] == {
+            "calls": batches,
+            "log_domain_fallbacks": 0,
+        }
+        assert registry.counters["sampler/calls"].value == batches
+        assert registry.counters["sampler/log_domain_fallbacks"].value == 0
+        totals = build_report("fit", registry, declared=TRAINING_TOTALS)["totals"]
+        assert totals["sampler_calls"] == batches
+        assert totals["sampler_log_domain_fallbacks"] == 0
+
+    def test_fit_without_the_sampler_reports_none(self, tiny_corpus, fast_config):
+        registry = MetricsRegistry()
+        callback = TelemetryCallback(registry=registry)
+        ProdLDA(tiny_corpus.vocab_size, fast_config).fit(
+            tiny_corpus, callbacks=[callback]
+        )
+        assert "sampler" not in callback.records[-1]
+        assert not any(key.startswith("sampler/") for key in registry.counters)
