@@ -153,7 +153,7 @@ def _objectives_from_args(args: argparse.Namespace):
 
 
 def _run_spec(args: argparse.Namespace, model):
-    """Translate the CLI's resilience flags into a declarative RunSpec."""
+    """Translate the CLI's resilience and fault flags into a RunSpec."""
     from repro.models.base import NeuralTopicModel
     from repro.training.trainer import CheckpointSpec, RunSpec
 
@@ -168,6 +168,21 @@ def _run_spec(args: argparse.Namespace, model):
             args.checkpoint_dir, every=getattr(args, "checkpoint_every", 1)
         )
     resume = getattr(args, "resume", None) or None
+    faults = None
+    nan_rate = getattr(args, "inject_nan", 0.0)
+    grad_rate = getattr(args, "inject_grad", 0.0)
+    interrupts = getattr(args, "inject_interrupts", 0)
+    if nan_rate or grad_rate or interrupts:
+        from repro.training.faults import FaultPlan
+
+        if interrupts and checkpoint is None:
+            raise SystemExit("--inject-interrupts requires --checkpoint-dir")
+        faults = FaultPlan(
+            nan_loss_rate=nan_rate,
+            exploding_grad_rate=grad_rate,
+            interrupt_saves=tuple(range(interrupts)),
+            seed=args.faults_seed,
+        )
     objectives = _objectives_from_args(args)
     is_neural = isinstance(model, NeuralTopicModel)
     if (guard or checkpoint or resume or objectives is not None) and not is_neural:
@@ -178,6 +193,7 @@ def _run_spec(args: argparse.Namespace, model):
         model=model.config if is_neural else None,
         guard=guard,
         checkpoint=checkpoint,
+        faults=faults,
         resume_from=resume,
         objectives=objectives,
     )
@@ -296,9 +312,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         InferenceService,
         LoadProfile,
         ModelRegistry,
+        ServingConfig,
         build_requests,
         run_load,
-        serving_config,
     )
     from repro.telemetry import MetricsRegistry, build_report, write_report
 
@@ -358,49 +374,49 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         )
         if value is not None
     }
-    with serving_config(**overrides) as config:
-        service = InferenceService(
-            registry,
-            corpus.vocabulary,
-            config=config,
-            metrics=metrics,
-            faults=faults,
-            npmi_matrix=context.npmi_test,
-        )
-        profile = LoadProfile(
-            num_requests=args.requests,
-            concurrency=args.concurrency,
-            seed=args.seed,
-        )
-        requests = build_requests(corpus, profile)
+    config = ServingConfig(**overrides)
+    service = InferenceService(
+        registry,
+        corpus.vocabulary,
+        config=config,
+        metrics=metrics,
+        faults=faults,
+        npmi_matrix=context.npmi_test,
+    )
+    profile = LoadProfile(
+        num_requests=args.requests,
+        concurrency=args.concurrency,
+        seed=args.seed,
+    )
+    requests = build_requests(corpus, profile)
 
-        reload_hook = None
-        ckpt_path = None
-        if args.reload_every:
-            # Live publication loop: each cycle re-saves a fresh (good)
-            # checkpoint and hot-loads it, so a corrupt-load chaos plan
-            # rolls back and a later clean cycle recovers.
-            ckpt_path = Path(args.telemetry).with_suffix(".ckpt.npz")
+    reload_hook = None
+    ckpt_path = None
+    if args.reload_every:
+        # Live publication loop: each cycle re-saves a fresh (good)
+        # checkpoint and hot-loads it, so a corrupt-load chaos plan
+        # rolls back and a later clean cycle recovers.
+        ckpt_path = Path(args.telemetry).with_suffix(".ckpt.npz")
+        save_checkpoint(model, ckpt_path)
+
+        def reload_hook() -> None:
             save_checkpoint(model, ckpt_path)
+            registry.load(ckpt_path)
 
-            def reload_hook() -> None:
-                save_checkpoint(model, ckpt_path)
-                registry.load(ckpt_path)
-
-        print(
-            f"serving {args.requests} requests "
-            f"(concurrency {args.concurrency}, "
-            f"batch<= {config.max_batch_size}, wait {config.max_wait_ms}ms, "
-            f"chaos={'on' if faults else 'off'})...",
-            file=out,
-        )
-        report = run_load(
-            service,
-            requests,
-            concurrency=args.concurrency,
-            reload_every=args.reload_every,
-            reload_hook=reload_hook,
-        )
+    print(
+        f"serving {args.requests} requests "
+        f"(concurrency {args.concurrency}, "
+        f"batch<= {config.max_batch_size}, wait {config.max_wait_ms}ms, "
+        f"chaos={'on' if faults else 'off'})...",
+        file=out,
+    )
+    report = run_load(
+        service,
+        requests,
+        concurrency=args.concurrency,
+        reload_every=args.reload_every,
+        reload_hook=reload_hook,
+    )
     if ckpt_path is not None and ckpt_path.exists():
         ckpt_path.unlink()
 
@@ -494,8 +510,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         profile_ops,
         write_report,
     )
-
-    from repro.training.trainer import CheckpointSpec, RunSpec, Trainer
+    from repro.training.trainer import Trainer
 
     context = ExperimentContext(_settings_from_args(args))
     model = context.build(args.model, seed=args.seed)
@@ -506,36 +521,11 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         path=args.jsonl, registry=registry, run_name=args.model
     )
 
-    guard = None
-    if args.guard:
-        from repro.training.resilience import GuardPolicy
-
-        guard = GuardPolicy()
-    faults = None
-    if args.inject_nan or args.inject_grad or args.inject_interrupts:
-        from repro.training.faults import FaultPlan
-
-        if args.inject_interrupts and not args.checkpoint_dir:
-            raise SystemExit("--inject-interrupts requires --checkpoint-dir")
-        faults = FaultPlan(
-            nan_loss_rate=args.inject_nan,
-            exploding_grad_rate=args.inject_grad,
-            interrupt_saves=tuple(range(args.inject_interrupts)),
-            seed=args.faults_seed,
-        )
     # The whole benchmarked run travels as one declarative spec: the
     # trainer materializes the checkpoint callback and fault injector
     # (and owns the interrupted-writes context) from it, so the perf
     # guard measures the same Trainer path production runs use.
-    spec = RunSpec(
-        model=model.config,
-        guard=guard,
-        checkpoint=(
-            CheckpointSpec(args.checkpoint_dir) if args.checkpoint_dir else None
-        ),
-        faults=faults,
-        objectives=_objectives_from_args(args),
-    )
+    spec = _run_spec(args, model)
     print(f"benchmarking {args.model} on {args.dataset}...", file=out)
     profiler = profile_ops(registry) if args.profile_ops else contextlib.nullcontext()
     with profiler, registry.timer("bench/fit"):

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.data.corpus import Corpus
 from repro.errors import ConfigError
+from repro.tensor import dtypes
 from repro.tensor.dtypes import get_sparse_policy
 from repro.tensor.sparse import CSRBatch
 
@@ -64,7 +65,6 @@ class BatchIterator:
         elif sparse and not policy.enabled:
             sparse = False  # REPRO_SPARSE=0 wins over a per-iterator opt-in
         self.sparse = bool(sparse)
-        self._density_threshold = policy.density_threshold
         if self.sparse:
             self._csr = (
                 corpus.bow_csr() if dtype is None else corpus.bow_csr(dtype=dtype)
@@ -89,7 +89,7 @@ class BatchIterator:
         if not self.sparse:
             return self._bow[batch_idx]
         batch = self._csr.take_rows(batch_idx)
-        if batch.density >= self._density_threshold:
+        if batch.density >= dtypes.SPARSE_DENSITY_THRESHOLD:
             # Dense enough that gather/scatter overhead loses to BLAS.
             return batch.toarray()
         return batch

@@ -24,7 +24,7 @@ from repro.data.vocabulary import Vocabulary
 from repro.errors import ConfigError, CorpusError, NotFittedError, ShapeError
 from repro.nn import BatchNorm1d, Linear, MLP, Module
 from repro.tensor import functional as F
-from repro.tensor import fused
+from repro.tensor import dtypes, fused
 from repro.tensor.dtypes import get_default_dtype, get_sparse_policy
 from repro.tensor.sparse import CSRBatch
 from repro.tensor.tensor import Tensor, no_grad
@@ -389,10 +389,9 @@ class NeuralTopicModel(TopicModel, Module):
         was_training = self.training
         self.eval()
         try:
-            policy = get_sparse_policy()
             batch_size = self.config.batch_size
             thetas: list[np.ndarray] = []
-            if policy.use_sparse(corpus.bow_density()):
+            if get_sparse_policy().use_sparse(corpus.bow_density()):
                 # Sparse fast path: contiguous eval batches are zero-copy
                 # CSR row views; a batch denser than the threshold falls
                 # back to dense for that batch only.
@@ -400,7 +399,7 @@ class NeuralTopicModel(TopicModel, Module):
                 with no_grad():
                     for start in range(0, len(corpus), batch_size):
                         batch = csr.slice_rows(start, start + batch_size)
-                        if batch.density >= policy.density_threshold:
+                        if batch.density >= dtypes.SPARSE_DENSITY_THRESHOLD:
                             batch = batch.toarray()
                         theta, _, _ = self.encode_theta(batch, sample=False)
                         thetas.append(theta.data)

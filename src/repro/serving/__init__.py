@@ -4,8 +4,8 @@ The serving layer turns a fitted topic model into an online service that
 keeps answering under faults.  See ``docs/SERVING.md`` for the full
 design; the pieces are:
 
-- :mod:`repro.serving.config` — :class:`ServingConfig` and the
-  ``REPRO_SERVE_*`` environment knobs (re-read on every re-init);
+- :mod:`repro.serving.config` — :class:`ServingConfig`, the limits and
+  windows every service is built with (passed explicitly);
 - :mod:`repro.serving.service` — :class:`InferenceService`, the
   asyncio micro-batching front door with deadlines, load shedding,
   retries and degraded answers;
@@ -18,15 +18,7 @@ design; the pieces are:
 """
 
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serving.config import (
-    SERVE_ENV_PREFIX,
-    ServingConfig,
-    get_serving_config,
-    reinit_serving_from_env,
-    serving_config,
-    serving_config_from_env,
-    set_serving_config,
-)
+from repro.serving.config import ServingConfig
 from repro.serving.loadgen import LoadProfile, LoadReport, build_requests, run_load
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import (
@@ -47,13 +39,7 @@ __all__ = [
     "HALF_OPEN",
     "OPEN",
     "CircuitBreaker",
-    "SERVE_ENV_PREFIX",
     "ServingConfig",
-    "get_serving_config",
-    "reinit_serving_from_env",
-    "serving_config",
-    "serving_config_from_env",
-    "set_serving_config",
     "LoadProfile",
     "LoadReport",
     "build_requests",

@@ -2,46 +2,18 @@
 
 One frozen :class:`ServingConfig` travels through the whole serving
 stack — the micro-batching front door, admission control, the retry
-policy and the circuit breaker all read their limits from it.  Like the
-dtype and sparse policies (:mod:`repro.tensor.dtypes`) it is a
-process-wide default with a thread-local override, settable four ways:
-
-- ``REPRO_SERVE_*`` environment variables, read at import time and
-  **re-read on every** :func:`reinit_serving_from_env` call — the knobs
-  never latch stale values (the same contract the PR-6 fix gave
-  ``REPRO_SPARSE``: re-initialising after a variable was *removed* falls
-  back to the built-in default, exactly as a fresh import would);
-- :func:`set_serving_config` for a persistent switch;
-- the scoped :func:`serving_config` context manager;
-- explicit ``ServingConfig(...)`` instances passed straight to the
-  service (tests do this).
-
-Environment variables (all optional)::
-
-    REPRO_SERVE_MAX_BATCH_SIZE      coalesce at most this many requests
-    REPRO_SERVE_MAX_WAIT_MS         coalescing window per micro-batch
-    REPRO_SERVE_QUEUE_CAPACITY      bounded queue size (hard limit)
-    REPRO_SERVE_SHED_WATERMARK      shed above this fraction of capacity
-    REPRO_SERVE_DEADLINE_MS         default per-request deadline
-    REPRO_SERVE_MAX_RETRIES         transient batch-failure retries
-    REPRO_SERVE_RETRY_BACKOFF_MS    first retry backoff
-    REPRO_SERVE_RETRY_BACKOFF_FACTOR exponential backoff multiplier
-    REPRO_SERVE_BREAKER_THRESHOLD   consecutive model faults to trip
-    REPRO_SERVE_BREAKER_COOLDOWN_MS open duration before a half-open probe
+policy and the circuit breaker all read their limits from it.  It is
+passed explicitly: :class:`~repro.serving.service.InferenceService`
+takes it as ``config=`` and falls back to ``ServingConfig()``, the
+built-in defaults, when none is given.  The module reads no environment
+and holds no process-wide state.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import os
-import threading
-from typing import Iterator
 
 from repro.errors import ConfigError
-
-#: Prefix shared by every serving environment variable.
-SERVE_ENV_PREFIX = "REPRO_SERVE_"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,90 +85,3 @@ class ServingConfig:
     def shed_depth(self) -> int:
         """Queue depth (absolute) at which admission control sheds."""
         return max(1, int(self.queue_capacity * self.shed_watermark))
-
-
-#: (env suffix, field name, parser) — one row per ``REPRO_SERVE_*`` knob.
-_ENV_FIELDS: tuple[tuple[str, str, type], ...] = (
-    ("MAX_BATCH_SIZE", "max_batch_size", int),
-    ("MAX_WAIT_MS", "max_wait_ms", float),
-    ("QUEUE_CAPACITY", "queue_capacity", int),
-    ("SHED_WATERMARK", "shed_watermark", float),
-    ("DEADLINE_MS", "deadline_ms", float),
-    ("MAX_RETRIES", "max_retries", int),
-    ("RETRY_BACKOFF_MS", "retry_backoff_ms", float),
-    ("RETRY_BACKOFF_FACTOR", "retry_backoff_factor", float),
-    ("BREAKER_THRESHOLD", "breaker_threshold", int),
-    ("BREAKER_COOLDOWN_MS", "breaker_cooldown_ms", float),
-)
-
-_STATE = threading.local()
-_PROCESS_CONFIG = ServingConfig()
-
-
-def get_serving_config() -> ServingConfig:
-    """The active serving configuration for this thread."""
-    return getattr(_STATE, "config", _PROCESS_CONFIG)
-
-
-def set_serving_config(config: ServingConfig) -> ServingConfig:
-    """Set the process-wide serving configuration; returns it."""
-    global _PROCESS_CONFIG
-    if not isinstance(config, ServingConfig):
-        raise ConfigError(
-            f"expected a ServingConfig, got {type(config).__name__}"
-        )
-    _PROCESS_CONFIG = config
-    _STATE.config = config
-    return config
-
-
-@contextlib.contextmanager
-def serving_config(**overrides) -> Iterator[ServingConfig]:
-    """Scoped override of the serving config (restores the previous one).
-
-    Unspecified fields inherit from the currently active config, so
-    ``with serving_config(max_batch_size=4):`` changes only that knob.
-    """
-    previous = get_serving_config()
-    _STATE.config = dataclasses.replace(previous, **overrides)
-    try:
-        yield _STATE.config
-    finally:
-        _STATE.config = previous
-
-
-def serving_config_from_env() -> ServingConfig:
-    """Build a config from built-in defaults plus current ``REPRO_SERVE_*``.
-
-    Reads the environment **now**, every call — never a value latched at
-    import time.  A variable that is unset (or was removed since the last
-    read) contributes the built-in default; a malformed value raises
-    :class:`~repro.errors.ConfigError` so a typo fails loudly instead of
-    silently serving with the wrong limits.
-    """
-    overrides: dict[str, int | float] = {}
-    for suffix, field, parser in _ENV_FIELDS:
-        name = f"{SERVE_ENV_PREFIX}{suffix}"
-        raw = os.environ.get(name)
-        if raw is None or not raw.strip():
-            continue
-        try:
-            overrides[field] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{name}={raw!r} is not a valid {parser.__name__}"
-            ) from exc
-    return ServingConfig(**overrides)
-
-
-def reinit_serving_from_env() -> ServingConfig:
-    """Re-read ``REPRO_SERVE_*`` and install the result process-wide.
-
-    Mirrors the ``REPRO_SPARSE`` re-init contract: always starts from the
-    built-in defaults, so re-initialising after a variable was *removed*
-    falls back to the default, exactly as a fresh import would.
-    """
-    return set_serving_config(serving_config_from_env())
-
-
-reinit_serving_from_env()

@@ -60,14 +60,13 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.errors import ServingError
 from repro.serving.breaker import CLOSED, CircuitBreaker
-from repro.serving.config import ServingConfig, get_serving_config
+from repro.serving.config import ServingConfig
 from repro.serving.registry import ModelRegistry
 from repro.training.resilience import TrainingGuard
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.data.vocabulary import Vocabulary
     from repro.metrics.npmi import NpmiMatrix
-    from repro.models.base import NeuralTopicModel
     from repro.telemetry.core import MetricsRegistry
     from repro.training.faults import FaultInjector
 
@@ -188,14 +187,12 @@ class InferenceService:
     Parameters
     ----------
     registry:
-        The hot-loadable model registry (or construct one implicitly by
-        passing a fitted model to :meth:`for_model`).
+        The hot-loadable model registry.
     vocabulary:
         Vocabulary ``transform`` payloads are indexed against (must be
         the model's own).
     config:
-        Limits and windows; defaults to the active
-        :func:`~repro.serving.config.get_serving_config`.
+        Limits and windows; defaults to ``ServingConfig()``.
     metrics:
         Optional :class:`~repro.telemetry.core.MetricsRegistry`; request
         counters, queue-depth samples and latencies flow into it under
@@ -223,7 +220,7 @@ class InferenceService:
     ):
         self.registry = registry
         self._vocabulary = vocabulary
-        self.config = config or get_serving_config()
+        self.config = config or ServingConfig()
         self.metrics = metrics
         self._faults = faults
         self._npmi = npmi_matrix
@@ -251,13 +248,6 @@ class InferenceService:
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
         self._running = False
-
-    @classmethod
-    def for_model(
-        cls, model: "NeuralTopicModel", vocabulary: "Vocabulary", **kwargs
-    ) -> "InferenceService":
-        """Convenience: wrap a fitted model in a single-entry registry."""
-        return cls(ModelRegistry(model), vocabulary, **kwargs)
 
     # ------------------------------------------------------------------
     # lifecycle

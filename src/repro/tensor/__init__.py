@@ -10,14 +10,15 @@ training hot path (:mod:`repro.tensor.fused`), a configurable default
 dtype (:mod:`repro.tensor.dtypes`: float64 by default, float32 opt-in via
 ``REPRO_DTYPE`` / :func:`set_default_dtype`), a sparse bag-of-words fast
 path (:class:`~repro.tensor.sparse.CSRBatch` constants plus a
-:class:`~repro.tensor.dtypes.SparsePolicy` auto-dispatch controlled by
-``REPRO_SPARSE`` / ``REPRO_SPARSE_THRESHOLD``), and a finite-difference
-gradient checker used by the test-suite to certify every operator's
-gradient.
+:class:`~repro.tensor.dtypes.SparsePolicy` auto-dispatch switched by
+``REPRO_SPARSE``; data at or above the measured density
+:data:`~repro.tensor.dtypes.SPARSE_DENSITY_THRESHOLD` stays dense), and a
+finite-difference gradient checker used by the test-suite to certify
+every operator's gradient.
 """
 
 from repro.tensor.dtypes import (
-    DEFAULT_SPARSE_THRESHOLD,
+    SPARSE_DENSITY_THRESHOLD,
     SUPPORTED_DTYPES,
     SparsePolicy,
     default_dtype,
@@ -57,10 +58,10 @@ from repro.tensor.gradcheck import gradcheck, numerical_gradient
 
 __all__ = [
     "CSRBatch",
-    "DEFAULT_SPARSE_THRESHOLD",
     "PROFILED_FUSED_OPS",
     "PROFILED_MODULE_OPS",
     "PROFILED_TENSOR_OPS",
+    "SPARSE_DENSITY_THRESHOLD",
     "SUPPORTED_DTYPES",
     "SparsePolicy",
     "Tensor",

@@ -23,9 +23,10 @@ This module also hosts the **sparse dispatch policy**
 bag-of-words batches travel through the pipeline as dense arrays or as
 :class:`~repro.tensor.sparse.CSRBatch` views feeding the sparse fused
 kernels.  Like the dtype policy it is thread-local with a process-wide
-seed, settable via ``REPRO_SPARSE`` / ``REPRO_SPARSE_THRESHOLD``
-environment variables, :func:`set_sparse_policy`, or the scoped
-:func:`sparse_policy` context manager.
+seed, switched on or off via the ``REPRO_SPARSE`` environment variable,
+:func:`set_sparse_policy`, or the scoped :func:`sparse_policy` context
+manager.  The density at which dispatch goes dense is the measured
+constant :data:`SPARSE_DENSITY_THRESHOLD`, not a setting.
 """
 
 from __future__ import annotations
@@ -124,13 +125,16 @@ _init_from_env()
 # ---------------------------------------------------------------------------
 
 _SPARSE_ENV_VAR = "REPRO_SPARSE"
-_SPARSE_THRESHOLD_ENV_VAR = "REPRO_SPARSE_THRESHOLD"
 
-#: Default density cutoff for auto-dispatch.  Below it the CSR kernels win
+#: Density (nonzero fraction) at and above which a corpus or batch stays
+#: dense.  Measured crossover, not a knob: below it the CSR kernels win
 #: (the encoder linear drops from O(B·V·H) to O(nnz·H)); above it the
-#: gather/scatter overhead erases the saving and dense BLAS is faster.
-#: Picked from the ``repro bench --suite sparse`` crossover measurements.
-DEFAULT_SPARSE_THRESHOLD = 0.25
+#: gather/scatter overhead erases the saving and dense BLAS is faster
+#: (``repro bench --suite sparse``, docs/PERFORMANCE.md §Sparse fast
+#: path).  Callers read it through this module at call time.  Independent
+#: of ``fused._GEMM_DECODE_DENSITY``, which picks the decode of a batch
+#: that is already CSR.
+SPARSE_DENSITY_THRESHOLD = 0.25
 
 _TRUE_SPELLINGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_SPELLINGS = frozenset({"0", "false", "no", "off"})
@@ -145,25 +149,15 @@ class SparsePolicy:
     enabled:
         Master switch.  ``False`` forces the dense reference path
         everywhere (the ``REPRO_SPARSE=0`` escape hatch).
-    density_threshold:
-        Auto-dispatch cutoff in ``[0, 1]``: a corpus or batch whose
-        nonzero fraction is *strictly below* this value goes sparse;
-        denser data stays on the dense path.
     """
 
     enabled: bool = True
-    density_threshold: float = DEFAULT_SPARSE_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.density_threshold <= 1.0:
-            raise ConfigError(
-                f"density_threshold must be in [0, 1], got "
-                f"{self.density_threshold!r}"
-            )
 
     def use_sparse(self, density: float) -> bool:
-        """True when data of the given density should take the CSR path."""
-        return self.enabled and density < self.density_threshold
+        """True when data of the given density should take the CSR path:
+        the policy is on and ``density`` is *strictly below*
+        :data:`SPARSE_DENSITY_THRESHOLD`."""
+        return self.enabled and density < SPARSE_DENSITY_THRESHOLD
 
 
 _SPARSE_STATE = threading.local()
@@ -188,23 +182,14 @@ def set_sparse_policy(policy: SparsePolicy) -> SparsePolicy:
 
 
 @contextlib.contextmanager
-def sparse_policy(
-    enabled: bool | None = None,
-    density_threshold: float | None = None,
-) -> Iterator[SparsePolicy]:
+def sparse_policy(enabled: bool | None = None) -> Iterator[SparsePolicy]:
     """Scoped override of the sparse policy (restores the previous one).
 
-    Unspecified fields inherit from the currently active policy, so
-    ``with sparse_policy(enabled=False):`` flips only the master switch.
+    ``enabled=None`` keeps the currently active switch.
     """
     previous = get_sparse_policy()
     _SPARSE_STATE.policy = SparsePolicy(
-        enabled=previous.enabled if enabled is None else bool(enabled),
-        density_threshold=(
-            previous.density_threshold
-            if density_threshold is None
-            else float(density_threshold)
-        ),
+        enabled=previous.enabled if enabled is None else bool(enabled)
     )
     try:
         yield _SPARSE_STATE.policy
@@ -228,23 +213,11 @@ def _init_sparse_from_env() -> None:
     # Always start from the built-in defaults, not the current policy:
     # re-initialising after an env var was *removed* must fall back to
     # the default, exactly as a fresh import would.
-    defaults = SparsePolicy()
-    enabled = defaults.enabled
-    threshold = defaults.density_threshold
+    enabled = SparsePolicy().enabled
     raw_enabled = os.environ.get(_SPARSE_ENV_VAR)
     if raw_enabled is not None and raw_enabled.strip():
         enabled = _parse_bool_env(_SPARSE_ENV_VAR, raw_enabled)
-    raw_threshold = os.environ.get(_SPARSE_THRESHOLD_ENV_VAR)
-    if raw_threshold is not None and raw_threshold.strip():
-        try:
-            threshold = float(raw_threshold)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{_SPARSE_THRESHOLD_ENV_VAR}={raw_threshold!r} is not a float"
-            ) from exc
-    set_sparse_policy(
-        SparsePolicy(enabled=enabled, density_threshold=threshold)
-    )
+    set_sparse_policy(SparsePolicy(enabled=enabled))
 
 
 _init_sparse_from_env()

@@ -434,12 +434,6 @@ class Trainer:
         the spec-derived ones (the checkpoint callback built from
         ``spec.checkpoint`` always observes an epoch first, so telemetry
         sees its log annotations).
-    faults:
-        A live :class:`~repro.training.faults.FaultInjector` overriding
-        ``spec.faults`` — the escape hatch for tests that need to assert
-        on the injector's counters.  When the injector is built from the
-        spec's plan instead, the trainer also manages the
-        ``interrupted_writes`` context for plans that interrupt saves.
 
     One trainer may run many fits; all per-run state lives in the
     :class:`TrainState` attached to each model.
@@ -450,11 +444,9 @@ class Trainer:
         spec: RunSpec | None = None,
         *,
         callbacks: Sequence["Callback"] = (),
-        faults: FaultInjector | None = None,
     ):
         self.spec = spec if spec is not None else RunSpec()
         self.callbacks: list["Callback"] = list(callbacks)
-        self.faults = faults
 
     # ------------------------------------------------------------------
     # construction helpers (one per spec field, each overridable)
@@ -497,8 +489,6 @@ class Trainer:
         """
         if override is not None:
             return override, False
-        if self.faults is not None:
-            return self.faults, False
         if self.spec.faults is not None:
             plan = self.spec.faults
             return FaultInjector(plan), bool(plan.interrupt_saves)

@@ -11,6 +11,7 @@ import pytest
 from repro.data.corpus import Corpus
 from repro.data.loaders import BatchIterator
 from repro.data.vocabulary import Vocabulary
+from repro.tensor import dtypes
 from repro.tensor.dtypes import sparse_policy
 from repro.tensor.sparse import is_sparse_batch
 
@@ -86,21 +87,21 @@ class TestBatchIteratorDispatch:
             )
         assert not it.sparse
 
-    def test_threshold_zero_disables_dispatch(self, tiny_corpus):
-        with sparse_policy(density_threshold=0.0):
-            it = BatchIterator(
-                tiny_corpus, batch_size=16, rng=np.random.default_rng(0)
-            )
+    def test_threshold_zero_disables_dispatch(self, tiny_corpus, monkeypatch):
+        monkeypatch.setattr(dtypes, "SPARSE_DENSITY_THRESHOLD", 0.0)
+        it = BatchIterator(tiny_corpus, batch_size=16, rng=np.random.default_rng(0))
         assert not it.sparse
 
-    def test_dense_batch_fallback_within_sparse_epoch(self, dense_corpus):
-        # Force the sparse path on a dense corpus: every batch lands above
-        # the threshold, so _materialize falls back to dense per batch.
-        with sparse_policy(density_threshold=1.0):
-            it = BatchIterator(
-                dense_corpus, batch_size=2, rng=np.random.default_rng(0), sparse=True
-            )
-            assert it.sparse
+    def test_dense_batch_fallback_within_sparse_epoch(
+        self, dense_corpus, monkeypatch
+    ):
+        # Force the sparse path on a dense corpus: every batch lands at or
+        # above the threshold, so _materialize falls back to dense per batch.
+        monkeypatch.setattr(dtypes, "SPARSE_DENSITY_THRESHOLD", 1.0)
+        it = BatchIterator(
+            dense_corpus, batch_size=2, rng=np.random.default_rng(0), sparse=True
+        )
+        assert it.sparse
         batches = list(it)
         assert all(isinstance(b, np.ndarray) for b in batches)
 

@@ -48,7 +48,7 @@ class TestResolveWorkers:
 
     def test_env_never_latches(self, monkeypatch):
         """Each call re-reads the environment: removing the variable
-        removes its effect (same contract as REPRO_SPARSE/REPRO_SERVE_*)."""
+        removes its effect (same contract as REPRO_SPARSE)."""
         monkeypatch.setenv(WORKERS_ENV, "5")
         assert resolve_workers(None) == 5
         monkeypatch.setenv(WORKERS_ENV, "2")

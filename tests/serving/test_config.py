@@ -1,25 +1,11 @@
-"""ServingConfig: validation, scoped overrides, env knobs that never latch."""
+"""ServingConfig: validation, and the built-in defaults a service falls back to."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import (
-    ServingConfig,
-    get_serving_config,
-    reinit_serving_from_env,
-    serving_config,
-    serving_config_from_env,
-    set_serving_config,
-)
-
-
-@pytest.fixture(autouse=True)
-def _restore_process_config():
-    """Leave the process-wide config exactly as the defaults afterwards."""
-    yield
-    set_serving_config(ServingConfig())
+from repro.serving import InferenceService, ServingConfig
 
 
 class TestValidation:
@@ -55,78 +41,10 @@ class TestValidation:
         tiny = ServingConfig(queue_capacity=1, shed_watermark=0.5)
         assert tiny.shed_depth == 1
 
-    def test_set_requires_config_instance(self):
-        with pytest.raises(ConfigError):
-            set_serving_config({"max_batch_size": 4})
 
-
-class TestScopedOverride:
-    def test_context_manager_overrides_and_restores(self):
-        before = get_serving_config()
-        with serving_config(max_batch_size=4) as config:
-            assert config.max_batch_size == 4
-            assert get_serving_config() is config
-            # Unspecified fields inherit.
-            assert config.queue_capacity == before.queue_capacity
-        assert get_serving_config() == before
-
-    def test_restores_on_exception(self):
-        before = get_serving_config()
-        with pytest.raises(RuntimeError):
-            with serving_config(max_batch_size=4):
-                raise RuntimeError("boom")
-        assert get_serving_config() == before
-
-
-class TestEnvKnobs:
-    """The PR-6 ``REPRO_SPARSE`` contract: env is read NOW, never latched."""
-
-    def test_env_overrides_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH_SIZE", "8")
-        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "123.5")
-        config = serving_config_from_env()
-        assert config.max_batch_size == 8
-        assert config.deadline_ms == 123.5
-        # Untouched knobs keep their built-in defaults.
-        assert config.queue_capacity == ServingConfig().queue_capacity
-
-    def test_reinit_installs_process_wide(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BREAKER_THRESHOLD", "7")
-        reinit_serving_from_env()
-        assert get_serving_config().breaker_threshold == 7
-
-    def test_reinit_after_removal_falls_back_to_default(self, monkeypatch):
-        """Removing a variable must undo its effect on the next re-init —
-        the knob never latches a stale value."""
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_CAPACITY", "32")
-        reinit_serving_from_env()
-        assert get_serving_config().queue_capacity == 32
-        monkeypatch.delenv("REPRO_SERVE_QUEUE_CAPACITY")
-        reinit_serving_from_env()
-        assert (
-            get_serving_config().queue_capacity
-            == ServingConfig().queue_capacity
-        )
-
-    def test_changed_value_is_re_read_every_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "3")
-        assert serving_config_from_env().max_wait_ms == 3.0
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "9")
-        assert serving_config_from_env().max_wait_ms == 9.0
-
-    def test_blank_value_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_RETRIES", "  ")
-        assert (
-            serving_config_from_env().max_retries
-            == ServingConfig().max_retries
-        )
-
-    def test_malformed_value_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH_SIZE", "many")
-        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH_SIZE"):
-            serving_config_from_env()
-
-    def test_out_of_range_env_value_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_SHED_WATERMARK", "1.7")
-        with pytest.raises(ConfigError):
-            serving_config_from_env()
+class TestServiceDefault:
+    def test_service_without_config_uses_built_in_defaults(
+        self, registry, tiny_corpus
+    ):
+        service = InferenceService(registry, tiny_corpus.vocabulary)
+        assert service.config == ServingConfig()

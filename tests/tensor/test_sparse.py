@@ -10,10 +10,10 @@ edges of the auto-dispatch policy.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.tensor import Tensor, fused, gradcheck
 from repro.tensor.dtypes import (
-    DEFAULT_SPARSE_THRESHOLD,
+    SPARSE_DENSITY_THRESHOLD,
     SparsePolicy,
     get_sparse_policy,
     sparse_policy,
@@ -256,10 +256,10 @@ class TestSparsePolicy:
     def test_default_policy(self):
         policy = get_sparse_policy()
         assert policy.enabled
-        assert policy.density_threshold == DEFAULT_SPARSE_THRESHOLD
+        assert SPARSE_DENSITY_THRESHOLD == 0.25
 
     def test_use_sparse_edges(self):
-        policy = SparsePolicy(enabled=True, density_threshold=0.25)
+        policy = SparsePolicy(enabled=True)
         assert policy.use_sparse(0.0)
         assert policy.use_sparse(0.2499)
         assert not policy.use_sparse(0.25)  # at the threshold → dense
@@ -270,14 +270,7 @@ class TestSparsePolicy:
         before = get_sparse_policy()
         with sparse_policy(enabled=False):
             assert not get_sparse_policy().enabled
-            with sparse_policy(density_threshold=0.9):
+            with sparse_policy():
                 inner = get_sparse_policy()
                 assert not inner.enabled  # inherits the outer override
-                assert inner.density_threshold == 0.9
         assert get_sparse_policy() == before
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            SparsePolicy(density_threshold=1.5)
-        with pytest.raises(ConfigError):
-            SparsePolicy(density_threshold=-0.1)

@@ -427,6 +427,8 @@ class TestServeCommand:
             ]
         )
         assert "all requests received well-formed responses" in output
+        # The flags reach the service (defaults are 64 and 5.0 ms).
+        assert "batch<= 8, wait 1.0ms" in output
         report = load_report(telemetry)
         totals = report["totals"]
         assert totals["serving_requests"] == 40

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
 from repro.data.loaders import BatchIterator
 from repro.models import ETM, ProdLDA
+from repro.tensor import dtypes
 from repro.tensor.dtypes import sparse_policy
 from repro.tensor.sparse import CSRBatch
 from repro.training.resilience import CheckpointCallback
@@ -90,11 +91,12 @@ class TestLossEquivalence:
 
 class TestSparseResume:
     def test_resume_is_bitwise_under_forced_sparse_path(
-        self, tiny_corpus, fast_config, tmp_path
+        self, tiny_corpus, fast_config, tmp_path, monkeypatch
     ):
-        # density_threshold=1.0 guarantees every batch really is CSR (no
+        # A threshold of 1.0 guarantees every batch really is CSR (no
         # per-batch dense fallback), making this a pure fast-path resume.
-        with sparse_policy(enabled=True, density_threshold=1.0):
+        monkeypatch.setattr(dtypes, "SPARSE_DENSITY_THRESHOLD", 1.0)
+        with sparse_policy(enabled=True):
             full = ProdLDA(tiny_corpus.vocab_size, fast_config)
             full.fit(tiny_corpus)
 
@@ -109,11 +111,12 @@ class TestSparseResume:
         _assert_bitwise_equal(full, resumed)
 
     def test_sparse_and_dense_training_converge_together(
-        self, tiny_corpus, fast_config
+        self, tiny_corpus, fast_config, monkeypatch
     ):
         # Whole fit() runs, not single batches: per-epoch loss histories
         # of the two paths track each other (float64 keeps them tight).
-        with sparse_policy(enabled=True, density_threshold=1.0):
+        monkeypatch.setattr(dtypes, "SPARSE_DENSITY_THRESHOLD", 1.0)
+        with sparse_policy(enabled=True):
             sparse_model = ProdLDA(tiny_corpus.vocab_size, fast_config)
             sparse_model.fit(tiny_corpus)
         with sparse_policy(enabled=False):
@@ -125,9 +128,12 @@ class TestSparseResume:
 
 
 class TestTransform:
-    def test_transform_sparse_matches_dense(self, tiny_corpus, fast_config):
+    def test_transform_sparse_matches_dense(
+        self, tiny_corpus, fast_config, monkeypatch
+    ):
         model = ProdLDA(tiny_corpus.vocab_size, fast_config).fit(tiny_corpus)
-        with sparse_policy(enabled=True, density_threshold=1.0):
+        monkeypatch.setattr(dtypes, "SPARSE_DENSITY_THRESHOLD", 1.0)
+        with sparse_policy(enabled=True):
             theta_sparse = model.transform(tiny_corpus)
         with sparse_policy(enabled=False):
             theta_dense = model.transform(tiny_corpus)
