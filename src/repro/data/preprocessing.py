@@ -10,9 +10,11 @@ pipeline over raw text documents and produces a :class:`~repro.data.corpus.Corpu
 from __future__ import annotations
 
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from repro.data.corpus import Corpus
 from repro.data.vocabulary import Vocabulary
@@ -84,25 +86,44 @@ class Preprocessor:
     # ------------------------------------------------------------------
     def fit(self, texts: Sequence[str]) -> "Preprocessor":
         """Build the vocabulary from raw training texts."""
+        self._fit(texts)
+        return self
+
+    def _fit(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Build the vocabulary; return each text's vocabulary ids.
+
+        The one tokenizing pass gives every distinct token a provisional
+        int id on first sight and records each text's tokens as ids, so
+        no text's token strings outlive its step; frequencies are counted
+        over the ids.  Once the vocabulary is known the ids are remapped
+        to it and the tokens outside it dropped, which equals
+        :meth:`transform`'s lookup.
+        """
         if not texts:
             raise CorpusError("cannot fit a preprocessor on an empty text list")
         cfg = self.config
-        doc_freq: Counter[str] = Counter()
-        total_freq: Counter[str] = Counter()
-        n_docs = len(texts)
-        for text in texts:
-            tokens = [t for t in simple_tokenize(text) if t not in cfg.stop_words]
-            doc_freq.update(set(tokens))
-            total_freq.update(tokens)
+        provisional: dict[str, int] = {}
+        ids, distinct_ids = array("i"), array("i")
+        sizes = np.zeros(len(texts) + 1, dtype=np.int64)
+        for i, text in enumerate(texts, 1):
+            tokens = simple_tokenize(text)
+            distinct = set(tokens)
+            new = [t for t in distinct if t not in provisional]
+            provisional.update(zip(new, range(len(provisional), len(provisional) + len(new))))
+            ids.extend(map(provisional.__getitem__, tokens))
+            distinct_ids.extend(map(provisional.__getitem__, distinct))
+            sizes[i] = len(tokens)
+        total_freq = np.bincount(ids, minlength=len(provisional)).tolist()
+        doc_freq = np.bincount(distinct_ids, minlength=len(provisional)).tolist()
 
-        max_df = cfg.max_doc_frequency * n_docs
+        max_df = cfg.max_doc_frequency * len(texts)
         kept = [
             token
-            for token, df in doc_freq.items()
-            if cfg.min_doc_count <= df <= max_df
+            for token, df in zip(provisional, doc_freq)
+            if cfg.min_doc_count <= df <= max_df and token not in cfg.stop_words
         ]
         # Order by descending corpus frequency (stable & interpretable ids).
-        kept.sort(key=lambda t: (-total_freq[t], t))
+        kept.sort(key=lambda t: (-total_freq[provisional[t]], t))
         if cfg.max_vocab_size is not None:
             kept = kept[: cfg.max_vocab_size]
         if not kept:
@@ -110,7 +131,14 @@ class Preprocessor:
                 "preprocessing removed every token; relax the frequency filters"
             )
         self.vocabulary = Vocabulary(kept).freeze()
-        return self
+
+        vocab_ids = np.full(len(provisional), -1, dtype=np.int64)
+        vocab_ids[[provisional[token] for token in kept]] = np.arange(len(kept))
+        mapped = vocab_ids[np.frombuffer(ids, dtype=np.intc)]
+        known = mapped >= 0
+        # Known tokens before each text's boundary split the kept ids.
+        bounds = np.concatenate(([0], np.cumsum(known)))[np.cumsum(sizes)]
+        return np.split(mapped[known], bounds[1:-1])
 
     def transform(
         self,
@@ -125,24 +153,9 @@ class Preprocessor:
         """
         if self.vocabulary is None:
             raise CorpusError("Preprocessor.transform called before fit")
-        vocab = self.vocabulary
-        documents: list[list[int]] = []
-        kept_labels: list[int] = []
-        for i, text in enumerate(texts):
-            ids = vocab.known_ids(simple_tokenize(text))
-            if len(ids) < self.config.min_doc_length:
-                continue
-            documents.append(ids)
-            if labels is not None:
-                kept_labels.append(int(labels[i]))
-        if not documents:
-            raise CorpusError("all documents were filtered out")
-        return Corpus(
-            documents,
-            vocab,
-            labels=kept_labels if labels is not None else None,
-            label_names=label_names,
-        )
+        known_ids = self.vocabulary.known_ids
+        documents = [known_ids(simple_tokenize(text)) for text in texts]
+        return self._corpus(documents, labels, label_names)
 
     def fit_transform(
         self,
@@ -150,5 +163,29 @@ class Preprocessor:
         labels: Sequence[int] | None = None,
         label_names: Sequence[str] | None = None,
     ) -> Corpus:
-        """Fit the vocabulary and transform in one step."""
-        return self.fit(texts).transform(texts, labels=labels, label_names=label_names)
+        """Fit the vocabulary and transform in one step.
+
+        Equal to ``fit(texts).transform(texts, ...)``, but tokenizes each
+        text once.
+        """
+        return self._corpus(self._fit(texts), labels, label_names)
+
+    def _corpus(
+        self,
+        documents: Sequence[Sequence[int]],
+        labels: Sequence[int] | None,
+        label_names: Sequence[str] | None,
+    ) -> Corpus:
+        """The corpus of the documents at least ``min_doc_length`` long."""
+        keep = [
+            i for i, doc in enumerate(documents)
+            if len(doc) >= self.config.min_doc_length
+        ]
+        if not keep:
+            raise CorpusError("all documents were filtered out")
+        return Corpus(
+            [documents[i] for i in keep],
+            self.vocabulary,
+            labels=[int(labels[i]) for i in keep] if labels is not None else None,
+            label_names=label_names,
+        )

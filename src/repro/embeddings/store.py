@@ -6,11 +6,10 @@ import numpy as np
 
 from repro.data.corpus import Corpus
 from repro.data.vocabulary import Vocabulary
-from repro.embeddings.glove import GloveConfig, train_glove
 from repro.embeddings.ppmi import ppmi_matrix
 from repro.embeddings.svd_embeddings import svd_embeddings
 from repro.embeddings.window_cooccurrence import window_cooccurrence_counts
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 
 
 class EmbeddingStore:
@@ -61,26 +60,14 @@ class EmbeddingStore:
 
 
 def build_embeddings(
-    corpus: Corpus,
-    dim: int = 100,
-    backend: str = "svd",
-    window_size: int = 5,
-    seed: int = 0,
+    corpus: Corpus, dim: int = 100, window_size: int = 5
 ) -> EmbeddingStore:
-    """Train corpus embeddings with the chosen backend.
+    """Train corpus embeddings: PPMI of the window counts, truncated SVD.
 
-    Parameters
-    ----------
-    backend:
-        ``"svd"`` — PPMI + truncated SVD (default, fast, deterministic);
-        ``"glove"`` — the literal mini-GloVe trainer.
+    ``dim`` is clamped to ``vocab_size - 1``, the most a truncated SVD
+    can return.
     """
     dim = min(dim, corpus.vocab_size - 1)
     counts = window_cooccurrence_counts(corpus, window_size=window_size)
-    if backend == "svd":
-        vectors = svd_embeddings(ppmi_matrix(counts), dim=dim)
-    elif backend == "glove":
-        vectors = train_glove(counts, GloveConfig(dim=dim, seed=seed))
-    else:
-        raise ConfigError(f"unknown embedding backend {backend!r}")
+    vectors = svd_embeddings(ppmi_matrix(counts), dim=dim)
     return EmbeddingStore(corpus.vocabulary, vectors)

@@ -1,4 +1,4 @@
-"""Truncated-SVD embeddings from a PPMI matrix (the default backend)."""
+"""Truncated-SVD embeddings from a PPMI matrix."""
 
 from __future__ import annotations
 
@@ -17,7 +17,10 @@ def svd_embeddings(
 
     ``W = U_d * S_d^p`` with ``p = eigenvalue_weighting`` (0.5, the
     symmetric choice, works best for word similarity per Levy et al. 2015).
-    Rows are the word vectors.
+    Rows are the word vectors.  Each column's sign is canonical (the
+    svd_flip rule: its largest-magnitude entry is positive), so counts
+    that differ by rounding give vectors that differ by rounding, not by
+    a flipped column.
     """
     v = ppmi.shape[0]
     if not 1 <= dim < v:
@@ -30,5 +33,6 @@ def svd_embeddings(
     order = np.argsort(-s)
     u = u[:, order]
     s = s[order]
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(dim)])
     weights = s**eigenvalue_weighting if eigenvalue_weighting != 0 else np.ones_like(s)
     return u * weights[None, :]

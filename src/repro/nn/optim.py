@@ -2,7 +2,7 @@
 
 Adam follows Kingma & Ba (2015) with bias correction, matching the paper's
 training setup (Adam, lr = 5e-4).  SGD (with optional momentum and weight
-decay) and AdaGrad (used by the mini-GloVe trainer) round out the set.
+decay) and AdaGrad round out the set.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class Adam(Optimizer):
 
 
 class AdaGrad(Optimizer):
-    """AdaGrad (Duchi et al., 2011) — used by the mini-GloVe trainer."""
+    """AdaGrad (Duchi et al., 2011)."""
 
     def __init__(
         self,

@@ -10,17 +10,22 @@ verbatim as bitwise oracles.
   ``sum_duplicates`` + fancy-indexed scatter-add) and its slice
   normalisation, including the per-document token-id loop;
 * ``legacy_transform`` — ``Preprocessor.transform``'s double lookup
-  (``token in vocab`` then ``vocab.id_of``).
+  (``token in vocab`` then ``vocab.id_of``);
+* ``legacy_fit`` — ``Preprocessor.fit``'s string ``Counter`` pass, before
+  ``fit_transform`` kept provisional token ids to tokenize once.
 
 The vectorised code claims bitwise equality with these: the same CSR
 arrays and dtypes, the same counts, the same corpora and the same error
 messages.
 """
 
+from collections import Counter
+
 import numpy as np
 from scipy import sparse
 
 from repro.data.corpus import Corpus
+from repro.data.vocabulary import Vocabulary
 from repro.data.preprocessing import simple_tokenize
 from repro.errors import CorpusError, ShapeError
 
@@ -152,3 +157,33 @@ def legacy_transform(preprocessor, texts, labels=None, label_names=None):
         labels=kept_labels if labels is not None else None,
         label_names=label_names,
     )
+
+
+def legacy_fit(preprocessor, texts):
+    """The vocabulary ``Preprocessor.fit`` built from string counters."""
+    if not texts:
+        raise CorpusError("cannot fit a preprocessor on an empty text list")
+    cfg = preprocessor.config
+    doc_freq: Counter[str] = Counter()
+    total_freq: Counter[str] = Counter()
+    n_docs = len(texts)
+    for text in texts:
+        tokens = [t for t in simple_tokenize(text) if t not in cfg.stop_words]
+        doc_freq.update(set(tokens))
+        total_freq.update(tokens)
+
+    max_df = cfg.max_doc_frequency * n_docs
+    kept = [
+        token
+        for token, df in doc_freq.items()
+        if cfg.min_doc_count <= df <= max_df
+    ]
+    # Order by descending corpus frequency (stable & interpretable ids).
+    kept.sort(key=lambda t: (-total_freq[t], t))
+    if cfg.max_vocab_size is not None:
+        kept = kept[: cfg.max_vocab_size]
+    if not kept:
+        raise CorpusError(
+            "preprocessing removed every token; relax the frequency filters"
+        )
+    return Vocabulary(kept).freeze()

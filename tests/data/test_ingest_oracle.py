@@ -5,7 +5,8 @@ preprocessing transform and the document validation are checked against
 the per-document loops they replaced (kept verbatim in
 ``tests/data/_legacy_ingest.py``): the same CSR arrays and dtypes, the
 same counts and delta nnz after random slice schedules, the same corpora
-and the same error messages.
+and the same error messages.  ``Preprocessor.fit_transform``, which
+tokenizes once, is checked against ``fit(texts).transform(texts)``.
 """
 
 import os
@@ -23,6 +24,7 @@ from repro.metrics import DocumentCooccurrence
 from tests.data._legacy_ingest import (
     legacy_as_incidence,
     legacy_bow_sparse,
+    legacy_fit,
     legacy_transform,
     legacy_update,
     legacy_validate_documents,
@@ -183,6 +185,81 @@ class TestTransform:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def _assert_corpora_identical(got, want):
+    assert got.vocabulary.tokens() == want.vocabulary.tokens()
+    assert got.vocabulary.frozen and want.vocabulary.frozen
+    assert len(got) == len(want)
+    for a, b in zip(got.documents, want.documents):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.dtype == want.labels.dtype
+        np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.label_names == want.label_names
+
+
+class TestFitTransform:
+    """One tokenizing pass equals ``fit(texts).transform(texts)`` bitwise."""
+
+    CONFIGS = {
+        "default": {"min_doc_count": 2},
+        "all_df": {"min_doc_count": 1, "max_doc_frequency": 1.0},
+        "capped": {"min_doc_count": 1, "max_vocab_size": 3},
+        "long_docs": {"min_doc_count": 2, "min_doc_length": 4},
+        "tight_df": {"min_doc_count": 3, "max_doc_frequency": 0.3},
+    }
+
+    def _texts(self, rng, n):
+        # Empty texts, stop-word-only texts and short documents get dropped.
+        texts = TestTransform()._texts(rng, n)
+        texts[::17] = ["the and"] * len(texts[::17])
+        texts[5::23] = [""] * len(texts[5::23])
+        return texts
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_matches_fit_then_transform(self, config, seed, labelled):
+        rng = np.random.default_rng(seed)
+        texts = self._texts(rng, 200)
+        labels = rng.integers(0, 5, size=len(texts)).tolist() if labelled else None
+        names = [f"c{i}" for i in range(5)] if labelled else None
+        cfg = PreprocessConfig(**self.CONFIGS[config])
+        got = Preprocessor(cfg).fit_transform(texts, labels=labels, label_names=names)
+        two_pass = Preprocessor(cfg).fit(texts)
+        want = two_pass.transform(texts, labels=labels, label_names=names)
+        assert len(want) < len(texts)  # some documents were dropped
+        _assert_corpora_identical(got, want)
+        assert two_pass.vocabulary == legacy_fit(Preprocessor(cfg), texts)
+
+    def test_fitted_preprocessor_transforms_alike(self):
+        rng = np.random.default_rng(7)
+        texts = self._texts(rng, 120)
+        pre = Preprocessor(PreprocessConfig(min_doc_count=2))
+        pre.fit_transform(texts)
+        held_out = self._texts(rng, 60)
+        _assert_corpora_identical(
+            pre.transform(held_out), legacy_transform(pre, held_out)
+        )
+
+    @pytest.mark.parametrize(
+        "texts, config",
+        [
+            (["the and of", "it was"], {"min_doc_count": 1}),
+            (["alpha beta", "gamma delta"], {"min_doc_count": 2}),
+            (["alpha", "beta the", "alpha"], {"min_doc_count": 1}),
+        ],
+        ids=["stop_words_only", "every_token_filtered", "all_too_short"],
+    )
+    def test_errors_unchanged(self, texts, config):
+        cfg = PreprocessConfig(max_doc_frequency=1.0, **config)
+        got = _message(lambda: Preprocessor(cfg).fit_transform(texts))
+        want = _message(lambda: Preprocessor(cfg).fit(texts).transform(texts))
+        assert got == want
 
 
 class TestValidationMessages:
