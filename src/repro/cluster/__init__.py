@@ -1,5 +1,5 @@
 """Clustering substrate (KMeans) for the km-Purity / km-NMI evaluation."""
 
-from repro.cluster.kmeans import KMeans, kmeans_cluster
+from repro.cluster.kmeans import KMeans
 
-__all__ = ["KMeans", "kmeans_cluster"]
+__all__ = ["KMeans"]

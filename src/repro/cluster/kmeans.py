@@ -143,10 +143,3 @@ class KMeans:
                 break
         inertia = float(((points - centroids[assignments]) ** 2).sum())
         return centroids, inertia
-
-
-def kmeans_cluster(
-    points: np.ndarray, n_clusters: int, seed: int = 0
-) -> np.ndarray:
-    """Convenience wrapper: fit KMeans and return assignments."""
-    return KMeans(n_clusters, seed=seed).fit_predict(points)

@@ -16,7 +16,6 @@
 
 from repro.core.subset_sampling import (
     relaxed_topk_sample,
-    hard_topk_sample,
     sample_gumbel,
 )
 from repro.core.similarity import npmi_kernel, embedding_kernel, SimilarityKernel
@@ -26,7 +25,6 @@ from repro.core.variants import build_variant, VARIANT_NAMES
 
 __all__ = [
     "relaxed_topk_sample",
-    "hard_topk_sample",
     "sample_gumbel",
     "npmi_kernel",
     "embedding_kernel",

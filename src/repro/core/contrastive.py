@@ -22,8 +22,9 @@ for exp(K) is the cost the paper's §V.E analyses.
 :func:`topic_contrastive_loss` is the fused kernel: one graph node whose
 hand-derived backward replays, formula for formula and in the autodiff
 engine's accumulation order, the graph that the composed reference
-:func:`topic_contrastive_loss_composed` builds from ~20 primitive nodes —
-so values and gradients are bitwise equal (``tests/core/test_contrastive.py``).
+``topic_contrastive_loss_composed`` (``tests/core/_composed_contrastive.py``)
+builds from ~20 primitive nodes — so values and gradients are bitwise
+equal (``tests/core/test_contrastive.py``).
 """
 
 from __future__ import annotations
@@ -161,48 +162,6 @@ def topic_contrastive_loss(
         samples._accumulate(g_samples)
 
     return Tensor._make(out_data, (samples,), backward)
-
-
-def topic_contrastive_loss_composed(
-    samples: Tensor,
-    kernel: SimilarityKernel,
-    mode: ContrastiveMode = ContrastiveMode.FULL,
-    negative_weight: float = 1.0,
-) -> Tensor:
-    """Reference composition of :func:`topic_contrastive_loss`.
-
-    Builds Eq. 2 from primitive autodiff ops (~20 graph nodes and
-    closures).  The fused kernel must stay bitwise equal to it in the
-    loss and the gradient; kept for tests and as executable
-    documentation of the formulas in the module docstring.
-    """
-    samples = as_tensor(samples)
-    _check_shapes(samples, kernel)
-
-    # Constant tensors are cached on the kernel (per dtype): re-wrapping
-    # the (V, V) matrix every batch costs an astype copy under float32.
-    dtype = samples.data.dtype
-    exp_kernel = kernel.exp_matrix_tensor(dtype)    # (V, V), constant
-    diag = kernel.exp_diag_tensor(dtype)            # (V,), constant
-
-    # S[k, w] = Σ_w' y[k, w'] exp(K(w, w'))  — kernel is symmetric.
-    similarity_sums = samples @ exp_kernel           # (K, V)
-    self_term = samples * diag                       # anchor's own pair
-    positives = similarity_sums - self_term + _EPS   # (K, V)
-    total = similarity_sums.sum(axis=0, keepdims=True)  # Σ_l S[l, w], (1, V)
-    negatives = total - similarity_sums + _EPS       # cross-topic part
-    denominators = positives + negatives * negative_weight + _EPS
-
-    if mode is ContrastiveMode.FULL:
-        per_anchor = denominators.log() - positives.log()
-    elif mode is ContrastiveMode.POSITIVE_ONLY:
-        per_anchor = -positives.log()
-    elif mode is ContrastiveMode.NEGATIVE_ONLY:
-        per_anchor = negatives.log()
-    else:  # pragma: no cover - exhaustive enum
-        raise ShapeError(f"unknown mode {mode!r}")
-    total_weight = samples.sum() + _EPS
-    return (samples * per_anchor).sum() / total_weight
 
 
 def _check_shapes(samples: Tensor, kernel: SimilarityKernel) -> None:

@@ -339,23 +339,3 @@ def _log_domain(
         log_probs._accumulate(gr)
 
     return Tensor._make(out_data, (log_probs,), backward)
-
-
-def hard_topk_sample(
-    log_probs: np.ndarray,
-    num_samples: int,
-    gumbel_noise: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Exact (non-relaxed) Gumbel-top-k sample: word ids, ``(K, v)``.
-
-    This is the limit of :func:`relaxed_topk_sample` as τ → 0 under the
-    same noise, used for evaluation and for checking the relaxation.
-    """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if gumbel_noise is None:
-        if rng is None:
-            raise ConfigError("provide gumbel_noise or rng")
-        gumbel_noise = sample_gumbel(log_probs.shape, rng)
-    keys = log_probs + gumbel_noise
-    return np.argsort(-keys, axis=1)[:, :num_samples]

@@ -300,19 +300,3 @@ BACKGROUND_BANK: tuple[str, ...] = (
     "someone", "anyone", "everyone", "anything", "something", "idea",
     "reason", "kind", "lot", "bit", "end", "start", "read", "write",
 )
-
-
-def bank_vocabulary() -> list[str]:
-    """All distinct theme + background words, in deterministic order."""
-    seen: set[str] = set()
-    ordered: list[str] = []
-    for bank in THEME_BANKS.values():
-        for word in bank:
-            if word not in seen:
-                seen.add(word)
-                ordered.append(word)
-    for word in BACKGROUND_BANK:
-        if word not in seen:
-            seen.add(word)
-            ordered.append(word)
-    return ordered

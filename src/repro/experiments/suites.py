@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.blas import blas_threads, one_blas_thread
 from repro.errors import ReproError, ShapeError
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.reporting import format_table
@@ -158,9 +159,13 @@ def run_ops(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
     from repro.tensor import PROFILED_FUSED_OPS
 
     registry = MetricsRegistry()
-    # The outer block also profiles the microbench's warm-up round, as the
-    # checked-in baseline was measured.
-    with profile_ops(registry):
+    # One OpenBLAS thread, as pool tasks and perfbench run: on a 2-CPU host
+    # the default two threads made a fast-mode run started after idle read
+    # 8-10x the baseline's op_seconds, one thread 1.4-1.5x.  The profiling
+    # block also covers the microbench's warm-up round, as the checked-in
+    # baseline was measured.
+    with one_blas_thread(), profile_ops(registry):
+        threads = blas_threads()
         run_ops_microbench(repeats=settings.repeats, dtype=settings.dtype, seed=settings.seed)
     for op in PROFILED_FUSED_OPS:
         calls = registry.counters.get(f"op/{op}.calls")
@@ -177,6 +182,7 @@ def run_ops(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
         "dtype": settings.dtype_name(),
         "repeats": settings.repeats,
         "seed": settings.seed,
+        "blas_threads": threads,
     }
 
 

@@ -17,7 +17,6 @@ from repro.metrics.coherence import (
     topic_coherence,
     topic_npmi_scores,
     coherence_by_percentage,
-    select_topics_by_coherence,
 )
 from repro.metrics.diversity import topic_diversity, diversity_by_percentage
 from repro.metrics.clustering_metrics import purity, normalized_mutual_information
@@ -29,20 +28,10 @@ from repro.metrics.intrusion import (
 )
 from repro.metrics.perplexity import heldout_perplexity
 from repro.metrics.cv_coherence import cv_coherence, cv_per_topic
-from repro.metrics.significance import (
-    MeanStd,
-    mean_std,
-    welch_t_test,
-    paired_bootstrap,
-)
 
 __all__ = [
     "cv_coherence",
     "cv_per_topic",
-    "MeanStd",
-    "mean_std",
-    "welch_t_test",
-    "paired_bootstrap",
     "DocumentCooccurrence",
     "NpmiMatrix",
     "NpmiWorkspace",
@@ -54,7 +43,6 @@ __all__ = [
     "topic_coherence",
     "topic_npmi_scores",
     "coherence_by_percentage",
-    "select_topics_by_coherence",
     "topic_diversity",
     "diversity_by_percentage",
     "purity",

@@ -42,21 +42,6 @@ def topic_npmi_scores(
     return np.array([npmi.mean_pairwise(ids) for ids in tops])
 
 
-def select_topics_by_coherence(
-    topic_word: np.ndarray,
-    npmi: NpmiMatrix,
-    percentage: float,
-    top_n: int = DEFAULT_TOP_WORDS,
-) -> np.ndarray:
-    """Indices of the top ``percentage`` of topics ranked by NPMI."""
-    if not 0.0 < percentage <= 1.0:
-        raise ConfigError(f"percentage must be in (0, 1], got {percentage}")
-    scores = topic_npmi_scores(topic_word, npmi, top_n=top_n)
-    k = topic_word.shape[0]
-    n_selected = max(1, int(round(k * percentage)))
-    return np.argsort(-scores)[:n_selected]
-
-
 def topic_coherence(
     topic_word: np.ndarray,
     npmi: NpmiMatrix,

@@ -154,14 +154,6 @@ class StreamingNpmiEngine:
         _STREAM_STATS["buffer_reuses"] += int(reused)
         return self.npmi
 
-    def recount_reference(self) -> DocumentCooccurrence:
-        """A *fresh* zero-count instance sharing this engine's vocab.
-
-        Convenience for equivalence tests and benchmarks that replay the
-        same slices through a from-scratch recount.
-        """
-        return DocumentCooccurrence.empty(self.vocab_size)
-
     def check_against(self, full: DocumentCooccurrence) -> None:
         """Assert bitwise count equality against a full recount.
 

@@ -3,7 +3,7 @@
 This package plays the role of ``torch.nn`` + ``torch.optim`` for the
 reproduction: a :class:`Module` tree with named parameters, the layers the
 paper's models need (Linear, BatchNorm1d, Dropout, the activation zoo), and
-the optimizers (Adam — the paper's choice — plus SGD and AdaGrad).
+the optimizers (Adam — the paper's choice — plus SGD).
 """
 
 from repro.nn.module import Module, Parameter
@@ -17,7 +17,7 @@ from repro.nn.layers import (
     MLP,
 )
 from repro.nn import init
-from repro.nn.optim import Optimizer, SGD, Adam, AdaGrad, clip_grad_norm
+from repro.nn.optim import Optimizer, SGD, Adam, clip_grad_norm
 
 __all__ = [
     "Module",
@@ -33,6 +33,5 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "AdaGrad",
     "clip_grad_norm",
 ]

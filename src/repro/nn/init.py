@@ -25,25 +25,6 @@ def xavier_uniform(
     return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def xavier_normal(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def kaiming_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, nonlinearity: str = "relu"
-) -> np.ndarray:
-    """He/Kaiming uniform, appropriate for ReLU-family activations."""
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0) if nonlinearity == "relu" else 1.0
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
 def normal(
     shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02
 ) -> np.ndarray:

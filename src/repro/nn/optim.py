@@ -2,7 +2,7 @@
 
 Adam follows Kingma & Ba (2015) with bias correction, matching the paper's
 training setup (Adam, lr = 5e-4).  SGD (with optional momentum and weight
-decay) and AdaGrad round out the set.
+decay) rounds out the set.
 """
 
 from __future__ import annotations
@@ -204,31 +204,3 @@ class Adam(Optimizer):
         self._t = int(state["t"])
         self._m = _unpack_slot(state, "m", self.parameters)
         self._v = _unpack_slot(state, "v", self.parameters)
-
-
-class AdaGrad(Optimizer):
-    """AdaGrad (Duchi et al., 2011)."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.05,
-        eps: float = 1e-8,
-    ):
-        super().__init__(parameters, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self.step_count += 1
-        for p, accum in zip(self.parameters, self._accum):
-            if p.grad is None:
-                continue
-            accum += p.grad**2
-            p.data = p.data - self.lr * p.grad / (np.sqrt(accum) + self.eps)
-
-    def _save_slots(self, state: dict[str, np.ndarray]) -> None:
-        _pack_slot(state, "accum", self._accum)
-
-    def _load_slots(self, state: dict[str, np.ndarray]) -> None:
-        self._accum = _unpack_slot(state, "accum", self.parameters)

@@ -29,7 +29,7 @@ from repro.tensor.dtypes import (
     set_sparse_policy,
     sparse_policy,
 )
-from repro.tensor.sparse import CSRBatch, as_dense, is_sparse_batch
+from repro.tensor.sparse import CSRBatch
 from repro.tensor.tensor import (
     PROFILED_MODULE_OPS,
     PROFILED_TENSOR_OPS,
@@ -68,8 +68,6 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "as_tensor",
-    "as_dense",
-    "is_sparse_batch",
     "default_dtype",
     "get_default_dtype",
     "get_sparse_policy",

@@ -8,10 +8,9 @@ between a diagonal Gaussian and the standard normal).
 
 The hot-path entries (``softmax``, ``log_softmax``, ``logsumexp``,
 ``sigmoid``, ``softplus``, ``kl_normal_standard``) are aliases of the
-single-node kernels in :mod:`repro.tensor.fused`.  Their original
-multi-node builds are kept here under ``*_composed`` names: they are the
-executable specification the fused kernels are tested against
-(``tests/tensor/test_fused.py``), not dead code.
+single-node kernels in :mod:`repro.tensor.fused`.  Their multi-node
+reference builds live with the tests that hold the kernels to them
+(``tests/tensor/_composed_ops.py``).
 """
 
 from __future__ import annotations
@@ -43,36 +42,6 @@ PROFILED_FUNCTIONAL_OPS: tuple[str, ...] = (
     "kl_normal_standard",
     "mse",
 )
-
-
-def logsumexp_composed(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Primitive-composed ``log(sum(exp(x)))`` (reference for the fused op)."""
-    x = as_tensor(x)
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))  # constant, no grad
-    out = ((x - shift).exp().sum(axis=axis, keepdims=True)).log() + shift
-    if not keepdims:
-        out = out.squeeze(axis if axis >= 0 else x.ndim + axis)
-    return out
-
-
-def softmax_composed(x: Tensor, axis: int = -1) -> Tensor:
-    """Primitive-composed max-shifted softmax (reference for the fused op)."""
-    x = as_tensor(x)
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax_composed(x: Tensor, axis: int = -1) -> Tensor:
-    """Primitive-composed log-softmax (reference for the fused op)."""
-    x = as_tensor(x)
-    return x - logsumexp_composed(x, axis=axis, keepdims=True)
-
-
-def sigmoid_composed(x: Tensor) -> Tensor:
-    """Primitive-composed tanh-form sigmoid (reference for the fused op)."""
-    x = as_tensor(x)
-    return (tanh(x * 0.5) + 1.0) * 0.5
 
 
 #: Hot-path functional ops are the fused single-node kernels.
@@ -164,16 +133,6 @@ def cross_entropy_with_probs(
     counts = bow.data if isinstance(bow, Tensor) else np.asarray(bow)
     counts_t = Tensor(counts.astype(log_word_probs.data.dtype, copy=False))
     per_doc = -(log_word_probs * counts_t).sum(axis=1)
-    return per_doc.mean()
-
-
-def kl_normal_standard_composed(mu: Tensor, logvar: Tensor) -> Tensor:
-    """Primitive-composed KL( N(mu, exp(logvar)) || N(0, I) ) mean.
-
-    Uses the closed form ``0.5 * sum(exp(logvar) + mu^2 - 1 - logvar)``;
-    reference for :func:`repro.tensor.fused.kl_normal_standard`.
-    """
-    per_doc = ((logvar.exp() + mu * mu - 1.0 - logvar) * 0.5).sum(axis=1)
     return per_doc.mean()
 
 

@@ -2,7 +2,7 @@
 
 Every function here is semantically identical to a chain of primitive
 :class:`~repro.tensor.tensor.Tensor` operations (the reference compositions
-live in :mod:`repro.tensor.functional` as ``*_composed``), but runs the
+live in ``tests/tensor/_composed_ops.py``), but runs the
 whole forward in numpy without intermediate graph nodes and backpropagates
 through a single hand-derived closure.  A composed ``softmax`` builds five
 nodes (max-shift constant, ``sub``, ``exp``, ``sum``, ``div``), five output

@@ -267,21 +267,6 @@ class CSRBatch:
     # ------------------------------------------------------------------
     # row-wise arithmetic (returns new batches sharing structure)
     # ------------------------------------------------------------------
-    def scale_rows(self, factors: np.ndarray) -> "CSRBatch":
-        """Multiply each row by a scalar; shares ``indices``/``indptr``."""
-        factors = np.asarray(factors, dtype=self.data.dtype).reshape(-1)
-        if factors.shape[0] != self.shape[0]:
-            raise ShapeError(
-                f"scale_rows expects {self.shape[0]} factors, got "
-                f"{factors.shape[0]}"
-            )
-        return CSRBatch(
-            self.data * factors[self.row_ids()],
-            self.indices,
-            self.indptr,
-            self.shape,
-        )
-
     def row_normalized(self, min_total: float = 1.0) -> "CSRBatch":
         """Rows divided by ``max(row_sum, min_total)``.
 
@@ -316,16 +301,3 @@ class CSRBatch:
     def t_matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """``self.T @ dense`` — the weight-gradient product."""
         return self.to_scipy().T @ _as_c_contiguous(dense)
-
-
-def is_sparse_batch(value) -> bool:
-    """True when ``value`` is a :class:`CSRBatch` (the sparse fast path)."""
-    return isinstance(value, CSRBatch)
-
-
-def as_dense(value, dtype=None) -> np.ndarray:
-    """Densify a batch operand: CSRBatch → ndarray, ndarray passes through."""
-    if isinstance(value, CSRBatch):
-        return value.toarray(dtype=dtype)
-    arr = np.asarray(value)
-    return arr if dtype is None else arr.astype(dtype, copy=False)

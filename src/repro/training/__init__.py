@@ -8,7 +8,6 @@ of §V.F.
 """
 
 from repro.training.seed import (
-    set_global_seed,
     spawn_rng,
     spawn_task_rng,
     spawn_task_seed,
@@ -23,8 +22,6 @@ from repro.training.protocol import (
 from repro.training.callbacks import (
     Callback,
     EarlyStopping,
-    HistoryLogger,
-    LambdaCallback,
     ValidationEvaluator,
 )
 from repro.training.faults import (
@@ -59,7 +56,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "set_global_seed",
     "spawn_rng",
     "spawn_task_rng",
     "spawn_task_seed",
@@ -75,9 +71,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "GuardPolicy",
-    "HistoryLogger",
     "InjectedFault",
-    "LambdaCallback",
     "RunSpec",
     "TelemetryCallback",
     "Trainer",

@@ -1,4 +1,4 @@
-"""Training callbacks: validation tracking, early stopping, logging.
+"""Training callbacks: validation tracking and early stopping.
 
 The paper trains for a fixed 100 epochs; real deployments usually want
 validation-driven stopping.  Callbacks observe the epoch loop of
@@ -8,7 +8,7 @@ stop or snapshot the best parameters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,17 +31,6 @@ class Callback:
 
     def on_fit_end(self, model: "NeuralTopicModel") -> None:
         """Called once after the loop finishes (stopped early or not)."""
-
-
-class HistoryLogger(Callback):
-    """Collects (epoch, logs) pairs; handy in notebooks and tests."""
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-
-    def on_epoch_end(self, model, epoch, logs) -> bool:
-        self.records.append({"epoch": epoch, **logs})
-        return False
 
 
 class ValidationEvaluator(Callback):
@@ -144,13 +133,3 @@ class EarlyStopping(Callback):
     def on_fit_end(self, model) -> None:
         if self.restore_best and self._best_state is not None:
             model.load_state_dict(self._best_state)
-
-
-class LambdaCallback(Callback):
-    """Wrap an arbitrary function as an epoch-end callback."""
-
-    def __init__(self, on_epoch_end: Callable[["NeuralTopicModel", int, dict], bool | None]):
-        self._fn = on_epoch_end
-
-    def on_epoch_end(self, model, epoch, logs) -> bool:
-        return bool(self._fn(model, epoch, logs))

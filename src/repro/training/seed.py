@@ -7,19 +7,7 @@ conventions so multi-seed experiment sweeps are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
-
-
-def set_global_seed(seed: int) -> None:
-    """Seed Python's and numpy's legacy global RNGs.
-
-    The library itself never uses global RNG state, but user code and
-    examples may; this is a convenience for them.
-    """
-    random.seed(seed)
-    np.random.seed(seed % (2**32))
 
 
 def spawn_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -1,5 +1,5 @@
 """Text-mode visualization of experiment series (offline 'figures')."""
 
-from repro.viz.ascii_chart import ascii_line_chart, ascii_bar_chart
+from repro.viz.ascii_chart import ascii_line_chart
 
-__all__ = ["ascii_line_chart", "ascii_bar_chart"]
+__all__ = ["ascii_line_chart"]

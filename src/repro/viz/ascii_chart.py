@@ -1,4 +1,4 @@
-"""ASCII line/bar charts — a matplotlib substitute for terminal-only runs.
+"""ASCII line charts — a matplotlib substitute for terminal-only runs.
 
 The paper's Figures 2-6 are line plots; these helpers render the same
 series dictionaries the experiment harness produces as fixed-width text,
@@ -75,23 +75,4 @@ def ascii_line_chart(
     x_axis = f"{x_min:g}".ljust(width // 2) + f"{x_max:g}".rjust(width - width // 2)
     lines.append(f"{' ' * pad}  {x_axis}")
     lines.append(f"{' ' * pad}  legend: {'  '.join(legend)}")
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    values: Mapping[str, float],
-    width: int = 48,
-    title: str | None = None,
-) -> str:
-    """Horizontal bar chart of ``{name: value}`` (e.g. Table III's WIS)."""
-    if not values:
-        raise ConfigError("no values to plot")
-    maximum = max(values.values())
-    if maximum <= 0:
-        maximum = 1.0
-    name_pad = max(len(name) for name in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = "#" * max(0, int(round(value / maximum * width)))
-        lines.append(f"{name.ljust(name_pad)} |{bar} {value:.3f}")
     return "\n".join(lines)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import KMeans, kmeans_cluster
+from repro.cluster import KMeans
 from repro.errors import ConfigError, NotFittedError
 from repro.metrics import purity
 
@@ -74,11 +74,6 @@ class TestApi:
         np.testing.assert_array_equal(
             model.predict(points), model.predict(points.copy())
         )
-
-    def test_convenience_wrapper(self):
-        rng = np.random.default_rng(0)
-        points, _ = _blobs(rng, [np.zeros(2), np.ones(2) * 9])
-        assert set(kmeans_cluster(points, 2).tolist()) == {0, 1}
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

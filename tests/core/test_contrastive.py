@@ -204,7 +204,7 @@ class TestFusedMatchesComposed:
     @pytest.mark.parametrize("negative_weight", [1.0, 3.0])
     @pytest.mark.parametrize("k,v", [(5, 30), (1, 12), (12, 60)])
     def test_loss_and_gradient_bitwise(self, dtype, mode, negative_weight, k, v):
-        from repro.core.contrastive import topic_contrastive_loss_composed
+        from tests.core._composed_contrastive import topic_contrastive_loss_composed
 
         rng = np.random.default_rng(k * 100 + v)
         kernel = _random_kernel(rng, v)
@@ -224,7 +224,7 @@ class TestFusedMatchesComposed:
 
     @pytest.mark.parametrize("mode", list(ContrastiveMode))
     def test_hard_indicators_bitwise(self, mode):
-        from repro.core.contrastive import topic_contrastive_loss_composed
+        from tests.core._composed_contrastive import topic_contrastive_loss_composed
 
         kernel = _block_kernel()
         samples = _indicator([[0, 1, 2], [0, 1, 3]], 8)
@@ -262,7 +262,7 @@ class TestFusedMatchesComposed:
         """After the stream-drift path's in-place ``refresh()`` the fused
         loss must see the new exp(K) — the composed loss on the refreshed
         kernel — not a copy captured on an earlier call."""
-        from repro.core.contrastive import topic_contrastive_loss_composed
+        from tests.core._composed_contrastive import topic_contrastive_loss_composed
 
         rng = np.random.default_rng(4)
         kernel = _random_kernel(rng, 20)

@@ -29,6 +29,7 @@ from repro.models import ETM
 from repro.objectives import ObjectiveSpec
 from repro.tensor.dtypes import default_dtype
 from repro.training.trainer import RunSpec, Trainer
+from tests.core._composed_contrastive import topic_contrastive_loss_composed
 from tests.core._legacy_sampler import legacy_sample_gumbel
 
 LOSS_KEYS = ("rec", "kl", "extra", "total", "grad_norm", "objective_contrastive")
@@ -77,8 +78,7 @@ def test_training_is_bitwise_the_reference_training(
     calls: dict[str, int] = {}
     for module, name, reference in (
         (subset_sampling, "sample_gumbel", legacy_sample_gumbel),
-        (contrastive, "topic_contrastive_loss",
-         contrastive.topic_contrastive_loss_composed),
+        (contrastive, "topic_contrastive_loss", topic_contrastive_loss_composed),
     ):
         monkeypatch.setattr(module, name, _counting(reference, calls, name))
     oracle = _train(*args)

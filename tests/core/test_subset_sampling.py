@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    hard_topk_sample,
     relaxed_topk_sample,
     sample_gumbel,
     subset_sampling,
@@ -51,7 +50,7 @@ class TestRelaxedSample:
         soft = relaxed_topk_sample(
             Tensor(log_probs), 4, temperature=1e-3, gumbel_noise=noise
         ).data
-        hard = hard_topk_sample(log_probs, 4, gumbel_noise=noise)
+        hard = np.argsort(-(log_probs + noise), axis=1)[:, :4]
         for k in range(log_probs.shape[0]):
             np.testing.assert_allclose(np.sort(np.argsort(-soft[k])[:4]), np.sort(hard[k]))
             # soft weights on the selected set are ~1
@@ -82,28 +81,6 @@ class TestRelaxedSample:
             relaxed_topk_sample(log_probs, 5, 0.5, rng=rng)
         with pytest.raises(ConfigError):
             relaxed_topk_sample(log_probs, 2, 0.0, rng=rng)
-
-
-class TestHardSample:
-    def test_no_replacement(self):
-        rng = np.random.default_rng(4)
-        samples = hard_topk_sample(_log_probs(rng, k=5, v=20), 8, rng=rng)
-        for row in samples:
-            assert len(set(row.tolist())) == 8
-
-    def test_biased_toward_high_probability(self):
-        beta = np.array([[0.70, 0.25, 0.02, 0.01, 0.01, 0.01]])
-        rng = np.random.default_rng(5)
-        hits = 0
-        trials = 300
-        for _ in range(trials):
-            sample = hard_topk_sample(np.log(beta), 2, rng=rng)[0]
-            hits += int(0 in sample)
-        assert hits / trials > 0.9
-
-    def test_requires_noise_or_rng(self):
-        with pytest.raises(ConfigError):
-            hard_topk_sample(np.zeros((1, 4)), 2)
 
 
 class TestGumbelNoise:

@@ -13,7 +13,7 @@ from repro.data.loaders import BatchIterator
 from repro.data.vocabulary import Vocabulary
 from repro.tensor import dtypes
 from repro.tensor.dtypes import sparse_policy
-from repro.tensor.sparse import is_sparse_batch
+from repro.tensor.sparse import CSRBatch
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ class TestBatchIteratorDispatch:
         it = BatchIterator(tiny_corpus, batch_size=16, rng=np.random.default_rng(0))
         assert it.sparse
         batch = next(iter(it))
-        assert is_sparse_batch(batch)
+        assert isinstance(batch, CSRBatch)
         assert batch.shape[1] == tiny_corpus.vocab_size
 
     def test_dense_corpus_falls_back_to_dense(self, dense_corpus):
@@ -143,7 +143,7 @@ class TestBatchIteratorDispatch:
 
 class TestSparsePolicyEnv:
     def test_env_var_disables_sparse(self, tiny_corpus, monkeypatch):
-        from repro.tensor.dtypes import _init_sparse_from_env, set_sparse_policy
+        from repro.tensor.dtypes import _init_sparse_from_env
 
         monkeypatch.setenv("REPRO_SPARSE", "0")
         try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticCorpusConfig, SyntheticCorpusGenerator, THEME_BANKS
-from repro.data.theme_banks import BACKGROUND_BANK, bank_vocabulary
+from repro.data.theme_banks import BACKGROUND_BANK
 from repro.errors import ConfigError
 
 
@@ -122,7 +122,8 @@ class TestGeneration:
 
 class TestBankVocabulary:
     def test_no_duplicates(self):
-        vocab = bank_vocabulary()
+        gen = SyntheticCorpusGenerator(_config(themes=tuple(THEME_BANKS)))
+        vocab = gen.vocabulary_words
         assert len(vocab) == len(set(vocab))
 
     def test_banks_are_reasonably_sized(self):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.blas import blas_threads, set_blas_threads
 from repro.experiments import suites
 from repro.experiments.suites import (
     SUITES,
@@ -173,6 +174,29 @@ class TestChecks:
         monkeypatch.setattr(microbench, "run_ops_microbench", short)
         with pytest.raises(SuiteCheckError, match="fewer than 5"):
             SUITES["ops"].run(SuiteSettings(repeats=5, dtype="float32"))
+
+    @pytest.mark.skipif(blas_threads() is None, reason="no bundled OpenBLAS")
+    def test_ops_times_its_kernels_on_one_blas_thread(self, monkeypatch):
+        from repro.telemetry import microbench
+
+        real = microbench.run_ops_microbench
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(blas_threads())
+            return real(**kwargs)
+
+        monkeypatch.setattr(microbench, "run_ops_microbench", spy)
+        before = blas_threads()
+        set_blas_threads(2)  # a multi-threaded caller, as on a 2+ CPU host
+        try:
+            _, meta = SUITES["ops"].run(SuiteSettings(repeats=1, dtype="float32"))
+            after = blas_threads()
+        finally:
+            set_blas_threads(before)
+        assert seen == [1]
+        assert meta["blas_threads"] == 1
+        assert after == 2
 
     def test_regularizers_requires_one_row_per_objective(self, monkeypatch):
         from repro.experiments import regularizers

@@ -7,7 +7,6 @@ from repro.errors import ConfigError, ShapeError
 from repro.metrics import (
     NpmiMatrix,
     coherence_by_percentage,
-    select_topics_by_coherence,
     topic_coherence,
     topic_npmi_scores,
 )
@@ -78,9 +77,3 @@ class TestPercentageProtocol:
             topic_coherence(topics, block_npmi, percentage=0.0)
         with pytest.raises(ConfigError):
             coherence_by_percentage(topics, block_npmi, percentages=(1.5,))
-
-    def test_select_topics_returns_best(self, topics, block_npmi):
-        selected = select_topics_by_coherence(topics, block_npmi, 0.5, top_n=3)
-        assert selected.tolist() == [0]
-        with pytest.raises(ConfigError):
-            select_topics_by_coherence(topics, block_npmi, 0.0)

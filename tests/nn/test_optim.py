@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.nn import Adam, AdaGrad, Parameter, SGD, clip_grad_norm
+from repro.nn import Adam, Parameter, SGD, clip_grad_norm
 
 
 def _param(values) -> Parameter:
@@ -76,19 +76,6 @@ class TestAdam:
             Adam([_param([1.0])], betas=(1.0, 0.999))
 
 
-class TestAdaGrad:
-    def test_step_decays_with_accumulation(self):
-        p = _param([0.0])
-        opt = AdaGrad([p], lr=1.0)
-        p.grad = np.array([1.0])
-        opt.step()
-        first = -p.data[0]
-        p.grad = np.array([1.0])
-        opt.step()
-        second = -p.data[0] - first
-        assert second < first  # effective step shrinks
-
-
 class TestOptimizerBase:
     def test_requires_parameters(self):
         with pytest.raises(ConfigError):
@@ -130,7 +117,6 @@ class TestStateDict:
         [
             lambda ps: SGD(ps, lr=0.05, momentum=0.9),
             lambda ps: Adam(ps, lr=0.2),
-            lambda ps: AdaGrad(ps, lr=1.0),
         ],
     )
     def test_restored_optimizer_continues_bitwise_identically(self, make_opt):
@@ -210,7 +196,6 @@ class TestConvergence:
             lambda ps: SGD(ps, lr=0.1),
             lambda ps: SGD(ps, lr=0.05, momentum=0.9),
             lambda ps: Adam(ps, lr=0.2),
-            lambda ps: AdaGrad(ps, lr=1.0),
         ],
     )
     def test_minimizes_quadratic(self, make_opt):

@@ -11,7 +11,7 @@ from repro.serving import (
     build_requests,
     run_load,
 )
-from repro.serving.service import COHERENCE, TOP_WORDS, TRANSFORM
+from repro.serving.service import TRANSFORM
 from repro.telemetry import MetricsRegistry
 from repro.experiments.suites import SERVING_TOTALS
 from repro.telemetry.report import build_report

@@ -18,12 +18,7 @@ from repro.tensor.dtypes import (
     get_sparse_policy,
     sparse_policy,
 )
-from repro.tensor.sparse import (
-    CSRBatch,
-    as_dense,
-    is_sparse_batch,
-    transpose_contiguous,
-)
+from repro.tensor.sparse import CSRBatch, transpose_contiguous
 
 RNG = np.random.default_rng(11)
 TOL = 1e-6  # acceptance bound for dense-vs-sparse values and gradients
@@ -124,12 +119,6 @@ class TestCSRBatch:
             out = transpose_contiguous(a)
             assert out.flags["C_CONTIGUOUS"]
             np.testing.assert_array_equal(out, a.T)
-
-    def test_helpers(self):
-        dense, csr = _sparse_counts()
-        assert is_sparse_batch(csr) and not is_sparse_batch(dense)
-        np.testing.assert_array_equal(as_dense(csr), dense)
-        np.testing.assert_array_equal(as_dense(dense), dense)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

@@ -17,7 +17,9 @@ losses.  These tests pin that boundary so it cannot silently erode:
 * every registry neural model declares its regularizer, if any, as a
   named term of its objective stack;
 * :mod:`repro.objectives` itself stays below the training layer: its
-  modules never hold trainer / optimizer / guard / fault machinery.
+  modules never hold trainer / optimizer / guard / fault machinery;
+* no library module defines a ``*_composed`` reference build: those are
+  test oracles and live under ``tests/``.
 """
 
 import importlib
@@ -171,3 +173,17 @@ def test_objectives_layer_does_not_import_training_machinery():
         f"repro.objectives namespaces hold training machinery: {offenders}; "
         "objectives must stay importable below the engine"
     )
+
+
+def test_no_library_module_defines_a_composed_reference():
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        offenders += [
+            f"{info.name}.{name}"
+            for name, value in vars(module).items()
+            if name.endswith("_composed") and callable(value)
+        ]
+    assert offenders == []

@@ -20,7 +20,7 @@ from repro import (
     topic_coherence,
     topic_diversity,
 )
-from repro.cluster import kmeans_cluster
+from repro.cluster import KMeans
 from repro.metrics import heldout_perplexity, normalized_mutual_information, purity
 
 
@@ -85,7 +85,7 @@ class TestPipeline:
     def test_document_representation_clusters_by_label(self, pipeline):
         ds, _, _, _, contra = pipeline
         theta = contra.transform(ds.test)
-        assignments = kmeans_cluster(theta, ds.test.num_labels, seed=0)
+        assignments = KMeans(ds.test.num_labels, seed=0).fit_predict(theta)
         assert purity(assignments, ds.test.labels) > 0.4
         assert normalized_mutual_information(assignments, ds.test.labels) > 0.3
 

@@ -1,9 +1,9 @@
-"""ASCII chart rendering."""
+"""ASCII line chart rendering."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.viz import ascii_bar_chart, ascii_line_chart
+from repro.viz import ascii_line_chart
 
 
 class TestLineChart:
@@ -44,25 +44,3 @@ class TestLineChart:
             ascii_line_chart({})
         with pytest.raises(ConfigError):
             ascii_line_chart({"m": {}})
-
-
-class TestBarChart:
-    def test_bars_scale_with_values(self):
-        chart = ascii_bar_chart({"big": 1.0, "small": 0.25}, width=40)
-        lines = chart.splitlines()
-        big = next(l for l in lines if l.startswith("big"))
-        small = next(l for l in lines if l.startswith("small"))
-        assert big.count("#") == 40
-        assert small.count("#") == 10
-
-    def test_values_printed(self):
-        chart = ascii_bar_chart({"a": 0.345})
-        assert "0.345" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            ascii_bar_chart({})
-
-    def test_nonpositive_values_safe(self):
-        chart = ascii_bar_chart({"zero": 0.0})
-        assert "zero" in chart

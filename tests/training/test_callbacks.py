@@ -1,4 +1,4 @@
-"""Training callbacks: validation loss, early stopping, logging."""
+"""Training callbacks: validation loss and early stopping."""
 
 import dataclasses
 
@@ -7,34 +7,27 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models import ProdLDA
-from repro.training.callbacks import (
-    EarlyStopping,
-    HistoryLogger,
-    LambdaCallback,
-    ValidationEvaluator,
-)
+from repro.training.callbacks import Callback, EarlyStopping, ValidationEvaluator
 
 
-class TestHistoryLogger:
-    def test_records_every_epoch(self, tiny_corpus, fast_config):
-        logger = HistoryLogger()
-        ProdLDA(tiny_corpus.vocab_size, fast_config).fit(
-            tiny_corpus, callbacks=[logger]
-        )
-        assert len(logger.records) == fast_config.epochs
-        assert logger.records[0]["epoch"] == 0
-        assert "total" in logger.records[0]
+class _EditLogs(Callback):
+    """Calls ``edit(model, epoch, logs)`` at each epoch end; never stops."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def on_epoch_end(self, model, epoch, logs) -> bool:
+        self.edit(model, epoch, logs)
+        return False
 
 
 class TestValidationEvaluator:
     def test_adds_valid_loss_to_logs(self, tiny_dataset, fast_config):
         validator = ValidationEvaluator(tiny_dataset.test)
-        logger = HistoryLogger()
-        ProdLDA(tiny_dataset.vocab_size, fast_config).fit(
-            tiny_dataset.train, callbacks=[validator, logger]
-        )
+        model = ProdLDA(tiny_dataset.vocab_size, fast_config)
+        model.fit(tiny_dataset.train, callbacks=[validator])
         assert len(validator.losses) == fast_config.epochs
-        assert "valid_loss" in logger.records[0]
+        assert "valid_loss" in model.history[0]
 
     def test_validation_loss_decreases(self, tiny_dataset, fast_config):
         config = dataclasses.replace(fast_config, epochs=8)
@@ -50,7 +43,7 @@ class TestEarlyStopping:
         config = dataclasses.replace(fast_config, epochs=50)
         # monitor a quantity that never improves -> stops after `patience`
         stopper = EarlyStopping(monitor="constant", patience=3, restore_best=False)
-        injector = LambdaCallback(
+        injector = _EditLogs(
             lambda model, epoch, logs: logs.__setitem__("constant", 1.0)
         )
         model = ProdLDA(tiny_corpus.vocab_size, config)
@@ -78,7 +71,7 @@ class TestEarlyStopping:
 
         stopper = EarlyStopping(monitor="tracked", patience=2, restore_best=True)
         model = ProdLDA(tiny_corpus.vocab_size, config)
-        model.fit(tiny_corpus, callbacks=[LambdaCallback(spy), stopper])
+        model.fit(tiny_corpus, callbacks=[_EditLogs(spy), stopper])
         assert stopper.best_epoch == 2
         restored = model.state_dict()
         for key, value in best_states["best"].items():
@@ -95,14 +88,3 @@ class TestEarlyStopping:
             EarlyStopping(patience=0)
         with pytest.raises(ConfigError):
             EarlyStopping(min_delta=-1.0)
-
-
-class TestLambdaCallback:
-    def test_truthy_return_stops_training(self, tiny_corpus, fast_config):
-        config = dataclasses.replace(fast_config, epochs=20)
-        model = ProdLDA(tiny_corpus.vocab_size, config)
-        model.fit(
-            tiny_corpus,
-            callbacks=[LambdaCallback(lambda m, epoch, logs: epoch >= 2)],
-        )
-        assert len(model.history) == 3

@@ -138,14 +138,6 @@ class TestSeedHelpers:
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, c)
 
-    def test_set_global_seed(self):
-        from repro.training import set_global_seed
-
-        set_global_seed(3)
-        a = np.random.random(3)
-        set_global_seed(3)
-        np.testing.assert_array_equal(a, np.random.random(3))
-
 
 class TestMultiSeedStd:
     def test_std_populated_with_multiple_seeds(self, tiny_dataset, tiny_test_npmi):
