@@ -11,8 +11,6 @@ is exactly where the new theme lands.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import ContraTopicConfig
 from repro.embeddings import build_embeddings
 from repro.extensions import (

@@ -190,7 +190,6 @@ def _run_spec(args: argparse.Namespace, model):
             "--guard/--resume/--checkpoint-dir/--objective require a neural model"
         )
     return RunSpec(
-        model=model.config if is_neural else None,
         guard=guard,
         checkpoint=checkpoint,
         faults=faults,
@@ -529,7 +528,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
     print(f"benchmarking {args.model} on {args.dataset}...", file=out)
     profiler = profile_ops(registry) if args.profile_ops else contextlib.nullcontext()
     with profiler, registry.timer("bench/fit"):
-        Trainer(spec, callbacks=[callback]).fit(model, context.dataset.train)
+        Trainer(spec).fit(model, context.dataset.train, callbacks=[callback])
     report = build_report(
         args.name or f"{args.model}_{args.dataset}",
         registry=registry,

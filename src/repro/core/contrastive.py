@@ -94,8 +94,8 @@ def topic_contrastive_loss(
     dtype = y.dtype
     # The cached constants are read here, not copied: a kernel refreshed
     # in place (the streaming path) is seen by the next call.
-    exp_kernel = kernel.exp_matrix_tensor(dtype).data   # (V, V)
-    diag = kernel.exp_diag_tensor(dtype).data           # (V,)
+    exp_kernel = kernel.exp_matrix_as(dtype)            # (V, V)
+    diag = kernel.exp_diag_as(dtype)                    # (V,)
 
     # S[k, w] = Σ_w' y[k, w'] exp(K(w, w'))  — kernel is symmetric.
     similarity_sums = y @ exp_kernel                    # (K, V)

@@ -37,7 +37,7 @@ class SimilarityKernel:
     temperature: float = 1.0
     #: Monotonically increasing revision of :attr:`matrix`.  A streaming
     #: consumer bumps it through :meth:`refresh` after mutating the
-    #: matrix in place; the per-dtype tensor caches below are refreshed
+    #: matrix in place; the per-dtype caches below are refreshed
     #: by delta (values copied into the existing buffers) instead of
     #: being thrown away and reallocated.
     version: int = 0
@@ -52,9 +52,9 @@ class SimilarityKernel:
         The streaming update path: mutate :attr:`matrix` in place (or
         pass ``matrix`` to have its values copied in), then ``refresh``
         re-exponentiates into the *existing* ``exp_matrix`` buffer,
-        bumps :attr:`version`, and rewrites every cached constant tensor
+        bumps :attr:`version`, and rewrites every cached per-dtype array
         in place — no V×V reallocations, and any long-lived reference to
-        the cached tensors observes the new values.  Returns the new
+        the cached arrays observes the new values.  Returns the new
         version.
         """
         if matrix is not None and matrix is not self.matrix:
@@ -67,38 +67,35 @@ class SimilarityKernel:
         np.divide(self.matrix, self.temperature, out=self.exp_matrix)
         np.exp(self.exp_matrix, out=self.exp_matrix)
         self.version += 1
-        cache = self.__dict__.get("_tensor_cache") or {}
-        for exp_t, diag_t in cache.values():
-            if exp_t.data is not self.exp_matrix:
-                np.copyto(exp_t.data, self.exp_matrix)
-            np.copyto(diag_t.data, np.diagonal(exp_t.data))
+        cache = self.__dict__.get("_dtype_cache") or {}
+        for exp, diag in cache.values():
+            if exp is not self.exp_matrix:
+                np.copyto(exp, self.exp_matrix)
+            np.copyto(diag, np.diagonal(exp))
         return self.version
 
     # ------------------------------------------------------------------
-    # constant-tensor cache
+    # per-dtype constant cache
     # ------------------------------------------------------------------
-    # The contrastive loss consumes exp(K) and its diagonal as constant
-    # Tensors every training step.  Re-wrapping the (V, V) matrix per batch
-    # is wasted work — under a float32 policy it would even re-copy the
-    # whole matrix each call — so the wrappers are cached per dtype.
+    # The contrastive loss reads exp(K) and its diagonal every training
+    # step.  Under a float32 policy casting the (V, V) matrix per batch
+    # would re-copy it each call, so the cast arrays are cached per dtype.
 
-    def exp_matrix_tensor(self, dtype: np.dtype) -> "Tensor":
-        """Cached constant ``Tensor(exp_matrix)`` in ``dtype``."""
+    def exp_matrix_as(self, dtype: np.dtype) -> np.ndarray:
+        """Cached ``exp_matrix`` in ``dtype`` (the buffer itself in its own dtype)."""
         return self._cached(dtype)[0]
 
-    def exp_diag_tensor(self, dtype: np.dtype) -> "Tensor":
-        """Cached constant ``Tensor(diag(exp_matrix))`` in ``dtype``."""
+    def exp_diag_as(self, dtype: np.dtype) -> np.ndarray:
+        """Cached ``diag(exp_matrix)`` in ``dtype``."""
         return self._cached(dtype)[1]
 
-    def _cached(self, dtype: np.dtype) -> "tuple[Tensor, Tensor]":
-        from repro.tensor.tensor import Tensor  # local: avoid import cycle
-
+    def _cached(self, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
         dtype = np.dtype(dtype)
-        cache = self.__dict__.setdefault("_tensor_cache", {})
+        cache = self.__dict__.setdefault("_dtype_cache", {})
         entry = cache.get(dtype)
         if entry is None:
             exp = self.exp_matrix.astype(dtype, copy=False)
-            entry = (Tensor(exp), Tensor(np.ascontiguousarray(np.diag(exp))))
+            entry = (exp, np.ascontiguousarray(np.diag(exp)))
             cache[dtype] = entry
         return entry
 

@@ -49,8 +49,8 @@ class ExperimentSettings:
     seeds: tuple[int, ...] = (0,)
     #: Declarative training configuration every experiment's fits run
     #: under (``None`` = plain unguarded runs).  The runner's ``--guard``
-    #: flag sets it to ``RunSpec.guarded()`` so a whole reproduction pass
-    #: trains under the resilience runtime.
+    #: flag sets it to ``RunSpec(guard=GuardPolicy())`` so a whole
+    #: reproduction pass trains under the resilience runtime.
     run_spec: RunSpec | None = None
 
     def resolved_lambda(self) -> float:

@@ -23,6 +23,7 @@ from repro.metrics.coherence import topic_coherence
 from repro.metrics.diversity import topic_diversity
 from repro.metrics.npmi import compute_npmi_matrix
 from repro.models.base import NeuralTopicModel
+from repro.training.resilience import GuardPolicy
 from repro.training.trainer import RunSpec, Trainer
 
 
@@ -95,8 +96,9 @@ def grid_search_contratopic(
         Full training corpus; a validation split is carved out internally.
     run_spec:
         Declarative training configuration applied to every grid point
-        and the final refit.  Defaults to :meth:`RunSpec.guarded`: the
-        sweep deliberately visits aggressive regularizer settings, so a
+        and the final refit.  Defaults to a guarded run
+        (``RunSpec(guard=GuardPolicy())``): the sweep deliberately visits
+        aggressive regularizer settings, so a
         point that diverges recovers through the guard's escalation
         ladder instead of burning the whole (λ, v) cell.  The guard only
         intervenes on non-finite batches, so scores on healthy points
@@ -120,7 +122,9 @@ def grid_search_contratopic(
 
     if not lambda_grid or not v_grid:
         raise ConfigError("lambda_grid and v_grid must be non-empty")
-    trainer = Trainer(run_spec if run_spec is not None else RunSpec.guarded())
+    trainer = Trainer(
+        run_spec if run_spec is not None else RunSpec(guard=GuardPolicy())
+    )
     rng = np.random.default_rng(seed)
     train, valid = train_valid_split(train_corpus, valid_fraction, rng)
     train_npmi = compute_npmi_matrix(train)

@@ -45,8 +45,8 @@ def build_sections(
     fan-out in :func:`run_all` safe.  ``run_spec`` (a
     :class:`~repro.training.trainer.RunSpec`) is the declarative training
     configuration every section's fits run under — e.g.
-    ``RunSpec.guarded()`` puts the whole reproduction pass behind the
-    resilience guard.
+    ``RunSpec(guard=GuardPolicy())`` puts the whole reproduction pass
+    behind the resilience guard.
     """
 
     def settings(dataset: str) -> ExperimentSettings:
@@ -177,9 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     run_spec = None
     if args.guard:
+        from repro.training.resilience import GuardPolicy
         from repro.training.trainer import RunSpec
 
-        run_spec = RunSpec.guarded()
+        run_spec = RunSpec(guard=GuardPolicy())
     run_all(fast=args.fast, workers=args.workers, run_spec=run_spec)
     return 0
 

@@ -142,8 +142,8 @@ def save_checkpoint(
     ``trainer_state`` (a JSON dict, usually from
     :func:`repro.training.trainer.capture_training_state` /
     ``model.training_state()``) is what makes resuming — a
-    :class:`~repro.training.trainer.Trainer` with ``resume_from=`` set,
-    or the ``fit(resume_from=...)`` facade — bitwise-consistent.  The
+    :class:`~repro.training.trainer.RunSpec` with ``resume_from`` set —
+    bitwise-consistent.  The
     archive is written atomically (tmp + fsync + rename).
     """
     path = Path(path)

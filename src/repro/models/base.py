@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -32,8 +31,6 @@ from repro.tensor.tensor import Tensor, no_grad
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.objectives.base import ObjectiveStack
     from repro.training.callbacks import Callback
-    from repro.training.faults import FaultInjector
-    from repro.training.resilience import GuardPolicy
     from repro.training.trainer import TrainState
 
 
@@ -255,62 +252,27 @@ class NeuralTopicModel(TopicModel, Module):
         The composition itself lives in the model's
         :class:`~repro.objectives.base.ObjectiveStack`: base ELBO plus
         every enabled regularizer term (the guard's ELBO-only degradation
-        disables terms one by one).  The stack's compute path reproduces
-        the historical inline body operation-for-operation, so this
-        remains a bitwise-identical facade.
+        disables terms one by one).
         """
         return self.objectives.compute(self, bow)
 
     def fit(
-        self,
-        corpus: Corpus,
-        callbacks: Sequence["Callback"] = (),
-        guard: "GuardPolicy | None" = None,
-        faults: "FaultInjector | None" = None,
-        resume_from: str | Path | None = None,
+        self, corpus: Corpus, callbacks: Sequence["Callback"] = ()
     ) -> "NeuralTopicModel":
-        """Train on ``corpus`` — a facade over :class:`repro.training.trainer.Trainer`.
+        """Train on ``corpus``: ``Trainer().fit(self, corpus, callbacks=...)``.
 
-        The epoch/mini-batch loop itself lives in
-        :mod:`repro.training.trainer`; this method packages the arguments
-        into a :class:`~repro.training.trainer.RunSpec` and delegates, so
-        the long-standing ``model.fit(...)`` surface keeps working
-        unchanged (and bitwise-identically).
-
-        Parameters
-        ----------
-        corpus:
-            Training corpus (vocabulary must match the model's).
-        callbacks:
-            :class:`repro.training.callbacks.Callback` instances observing
-            the epoch loop; any callback returning True from
-            ``on_epoch_end`` stops training early.
-        guard:
-            Optional :class:`repro.training.resilience.GuardPolicy`
-            enabling per-batch loss/gradient finiteness checks with the
-            skip → LR-backoff → restore → degrade escalation ladder.
-        faults:
-            Optional :class:`repro.training.faults.FaultInjector` that
-            deterministically corrupts losses/gradients — the test harness
-            for the guard's recovery paths.
-        resume_from:
-            Path of a format-v2 checkpoint (written with trainer state,
-            e.g. by :class:`repro.training.resilience.CheckpointCallback`);
-            training continues from the epoch after the checkpoint and is
-            bitwise-identical to an uninterrupted run.
+        ``callbacks`` (:class:`repro.training.callbacks.Callback`) observe
+        the epoch loop; any returning True from ``on_epoch_end`` stops
+        training early.  Guarded, checkpointed, fault-injected or resumed
+        runs go through :class:`repro.training.trainer.Trainer` with a
+        :class:`~repro.training.trainer.RunSpec`.
         """
         # Imported lazily: repro.training.__init__ imports the protocol
         # module, which imports this module — a module-level import here
         # would be circular.
-        from repro.training.trainer import RunSpec, Trainer
+        from repro.training.trainer import Trainer
 
-        Trainer(RunSpec(guard=guard)).fit(
-            self,
-            corpus,
-            callbacks=callbacks,
-            faults=faults,
-            resume_from=resume_from,
-        )
+        Trainer().fit(self, corpus, callbacks=callbacks)
         return self
 
     def on_fit_start(self, corpus: Corpus) -> None:
@@ -345,8 +307,9 @@ class NeuralTopicModel(TopicModel, Module):
         """JSON-serializable snapshot of the non-parameter training state.
 
         Travels as ``trainer_state`` in format-v2 checkpoints
-        (:func:`repro.io.save_checkpoint`); a :class:`Trainer` given
-        ``resume_from=`` restores it via
+        (:func:`repro.io.save_checkpoint`); a run whose
+        :class:`~repro.training.trainer.RunSpec` sets ``resume_from``
+        restores it via
         :func:`repro.training.trainer.restore_training_state`.  Delegates
         to :func:`repro.training.trainer.capture_training_state`, which
         reads the :class:`~repro.training.trainer.TrainState` the engine

@@ -1,6 +1,6 @@
 """Declarative objective specs: names + weights + params as plain data.
 
-:class:`ObjectiveSpec` is the picklable/JSON-able form a regularizer takes
+:class:`ObjectiveSpec` is the picklable form a regularizer takes
 inside a :class:`~repro.training.trainer.RunSpec`, a CLI flag or a
 parallel fan-out task; :func:`build_objective`/:func:`build_stack` turn
 specs into live :class:`~repro.objectives.base.Objective` instances at fit
@@ -86,31 +86,6 @@ class ObjectiveSpec:
             float(self.weight)
             if self.weight is not None
             else DEFAULT_WEIGHTS[self.name]
-        )
-
-    # -- dict round-trip (RunSpec serialization) -----------------------
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ObjectiveSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"objective spec must be a mapping, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"name", "weight", "params"}
-        if unknown:
-            raise ConfigError(f"unknown objective spec fields: {sorted(unknown)}")
-        if "name" not in data:
-            raise ConfigError("objective spec needs a 'name'")
-        return cls(
-            name=str(data["name"]),
-            weight=data.get("weight"),
-            params=data.get("params") or {},
         )
 
 

@@ -9,9 +9,9 @@ and writes interrupted mid-checkpoint — injectable on demand:
 
 * :class:`FaultPlan` declares *what* to inject (explicit batch steps
   and/or a seed-driven rate), so a plan replays identically across runs.
-* :class:`FaultInjector` is handed to
-  :meth:`repro.models.base.NeuralTopicModel.fit` via ``faults=`` and
-  corrupts losses/gradients at the planned steps.
+* :class:`FaultInjector` executes a plan: the trainer builds one from
+  :attr:`repro.training.trainer.RunSpec.faults` and it corrupts
+  losses/gradients at the planned steps.
 * :func:`interrupted_writes` routes atomic write commits through the
   injector, simulating a crash after the bytes were written but before
   the rename published them — the final file must stay intact.  The
@@ -101,8 +101,8 @@ class FaultPlan:
     #: whose category is listed in ``interrupt_categories`` are counted.
     interrupt_saves: tuple[int, ...] = ()
     #: Which :func:`repro.io.atomic_write` categories the interrupt plan
-    #: targets.  ``("checkpoint",)`` preserves the historical behaviour;
-    #: add ``"report"`` to also crash BENCH-report/baseline publications.
+    #: targets: checkpoints only by default; add ``"report"`` to also
+    #: crash BENCH-report/baseline publications.
     interrupt_categories: tuple[str, ...] = ("checkpoint",)
     #: Serving chaos — latency spikes: sleep ``serve_latency_seconds``
     #: before the named micro-batch attempts (and/or at a seeded rate).

@@ -162,8 +162,8 @@ def train_and_evaluate(
 
     ``run_spec`` is the declarative training configuration
     (:class:`~repro.training.trainer.RunSpec`) applied to neural models —
-    e.g. ``RunSpec.guarded()`` trains every seed under the resilience
-    guard.  ``None`` is a plain unguarded run.  Non-neural models (which
+    e.g. ``RunSpec(guard=GuardPolicy())`` trains every seed under the
+    resilience guard.  ``None`` is a plain unguarded run.  Non-neural models (which
     have no epoch loop for the engine to drive) fit directly.
     """
     model = model_factory(seed)

@@ -20,7 +20,8 @@ the two halves of that story:
   ``guard/*`` registry counters for ``BENCH_*.json`` reports.
 * :class:`CheckpointCallback` — periodic / best-so-far / last-good
   format-v2 checkpoints (model + optimizer + RNG streams + epoch), written
-  atomically, that ``fit(resume_from=...)`` continues bitwise-consistently.
+  atomically, that a run with ``RunSpec(resume_from=...)`` continues
+  bitwise-consistently.
 
 The injectable failure modes live in :mod:`repro.training.faults`; the
 guard itself never imports them except to recognise an injected crash
@@ -260,11 +261,20 @@ def save_training_checkpoint(
     )
 
 
+def _finite(logs: dict) -> bool:
+    """True when every numeric value of one epoch's logs is finite."""
+    return all(
+        np.isfinite(value)
+        for value in logs.values()
+        if isinstance(value, (int, float))
+    )
+
+
 class CheckpointCallback(Callback):
     """Periodic + best-so-far + last-good checkpointing during ``fit``.
 
     Writes up to three files into ``directory`` (all atomically, all
-    format v2 so any of them can seed ``fit(resume_from=...)``):
+    format v2 so any of them can seed ``RunSpec(resume_from=...)``):
 
     ``last.npz``
         Every ``every`` epochs, unconditionally.
@@ -319,17 +329,22 @@ class CheckpointCallback(Callback):
 
     def on_fit_start(self, model) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.best_value = float("inf")
+        # A resumed run arrives with its history restored: the best value
+        # so far carries over, so best.npz ends at the epoch an
+        # uninterrupted run would have kept.
+        self.best_value = min(
+            (
+                float(entry[self.monitor])
+                for entry in model.history
+                if self.monitor in entry and _finite(entry)
+            ),
+            default=float("inf"),
+        )
 
     def on_epoch_end(self, model, epoch, logs) -> bool:
-        finite = all(
-            np.isfinite(value)
-            for value in logs.values()
-            if isinstance(value, (int, float))
-        )
         if (epoch + 1) % self.every == 0:
             self._save(model, self.last_path, epoch)
-        if finite:
+        if _finite(logs):
             self._save(model, self.last_good_path, epoch)
             value = logs.get(self.monitor)
             if value is not None and value < self.best_value:

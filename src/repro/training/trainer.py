@@ -1,56 +1,38 @@
-"""The standalone training engine: Algorithm 1 as a reusable service.
-
-Historically the paper's Algorithm 1 (epoch/mini-batch Adam training with
-the contrastive regularizer) lived as a god-method inside
-:meth:`repro.models.base.NeuralTopicModel.fit`, interleaving data
-iteration, optimization, guard escalation, fault injection,
-checkpoint/resume and telemetry.  This module carves that loop out into
-three pieces:
+"""The training engine: the paper's Algorithm 1 as a reusable service.
 
 :class:`Trainer`
-    Owns the epoch/batch loop, the optimizer, the batch-shuffling RNG,
+    Owns the epoch/mini-batch loop, the optimizer, the batch-shuffling RNG,
     the guard runtime, the fault injector, callbacks and
     checkpoint/resume.  It drives *any* model exposing the narrow
     :class:`Trainable` contract (``loss_on_batch`` / ``parameters`` /
     ``rng_streams`` plus a handful of :class:`~repro.nn.module.Module`
     niceties) — the same model-agnostic shape coherence-regularized
-    trainers take in Ding et al. (2018) and Li et al. (2023).  The
-    batch step is a pipeline of named, individually-testable methods::
+    trainers take in Ding et al. (2018) and Li et al. (2023).  One batch
+    step (:meth:`Trainer.train_batch`) runs::
 
-        zero_grad → compute_loss → inject_loss_fault → guard_loss
-                  → backward → inject_gradient_fault → clip_gradients
-                  → guard_gradients → apply_step
+        zero_grad → loss → loss fault → guard → backward
+                  → gradient fault → clip → guard → Adam step
 
 :class:`TrainState`
     The per-run mutable state (optimizer, batch RNG, guard runtime,
-    fault injector, epoch counter) that is *not* model parameters.  It
-    replaces the old ad-hoc ``TrainerContext``; callbacks still reach it
-    through ``model._trainer`` (e.g.
+    fault injector, epoch counter) that is *not* model parameters.
+    Callbacks reach it through ``model._trainer`` (e.g.
     :class:`~repro.training.resilience.CheckpointCallback` needs the
     optimizer and RNG streams to write a resumable format-v2
     checkpoint), and it stays attached after ``fit`` returns so a
     post-training save can capture the full state.
 
 :class:`RunSpec`
-    A declarative run configuration — model hyper-parameters, guard
-    policy, checkpoint/fault settings and a resume path — with a
-    dict/JSON round-trip, so an entire training setup can travel through
-    config files, CLI flags and process boundaries as plain data.  Every
-    call-site layer (CLI, experiment runner, grid search, training
-    protocol, online extension) constructs training through it.
-
-``NeuralTopicModel.fit`` remains as a thin facade delegating here, so the
-public API, format-v2 checkpoints and bitwise-identical resume semantics
-are all preserved: training through ``Trainer(RunSpec()).fit(model,
-corpus)`` produces exactly the same per-epoch ``history`` as the old
-in-model loop for a fixed seed.
+    Every setting of one run — guard policy, checkpointing, fault plan,
+    resume path and objective terms — as plain data.  Every call-site
+    layer (CLI, experiment runner, grid search, training protocol, online
+    extension) trains through ``Trainer(spec).fit(model, corpus)``;
+    ``NeuralTopicModel.fit`` is the same call with the default spec.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +53,7 @@ from repro.training.resilience import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.data.corpus import Corpus
-    from repro.models.base import NTMConfig
+    from repro.objectives.registry import ObjectiveSpec
     from repro.tensor.tensor import Tensor
     from repro.training.callbacks import Callback
 
@@ -141,7 +123,7 @@ def _check_contract(model) -> None:
 class TrainState:
     """The per-run training state that is not model parameters.
 
-    Replaces the old ``TrainerContext``.  Callbacks reach it through
+    Callbacks reach it through
     ``model._trainer`` (e.g. the checkpoint callback needs the optimizer
     and RNG streams to write a resumable format-v2 checkpoint); it stays
     attached after ``fit`` returns so a post-training save can still
@@ -247,61 +229,10 @@ class CheckpointSpec:
             raise ConfigError("every must be >= 1")
 
 
-#: Dataclass fields that serialize as JSON lists but must come back as
-#: tuples (dataclass defaults and ``__post_init__`` validation expect
-#: tuples, and frozen specs should not carry mutable members).
-_TUPLE_FIELDS = frozenset(
-    {
-        "hidden_sizes",
-        "nan_loss_steps",
-        "exploding_grad_steps",
-        "interrupt_saves",
-        "interrupt_categories",
-        "serve_latency_steps",
-        "serve_nan_steps",
-        "serve_death_steps",
-        "corrupt_checkpoint_loads",
-    }
-)
-
-
-def _encode(spec) -> dict | None:
-    if spec is None:
-        return None
-    return {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in dataclasses.asdict(spec).items()
-    }
-
-
-def _decode(cls, data: dict | None, label: str):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError(f"RunSpec field {label!r} must be a mapping or null")
-    kwargs = {
-        key: tuple(value)
-        if key in _TUPLE_FIELDS and isinstance(value, list)
-        else value
-        for key, value in data.items()
-    }
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad RunSpec field {label!r}: {exc}") from exc
-
-
 @dataclass
 class RunSpec:
-    """A declarative description of one training run.
+    """Every setting of one training run, as plain data.
 
-    Bundles the model hyper-parameters with every resilience/runtime
-    setting the engine understands, as plain (JSON round-trippable) data:
-
-    ``model``
-        Optional :class:`~repro.models.base.NTMConfig` recording the
-        hyper-parameters the model was (or should be) built with —
-        provenance for reports and the handle config files use.
     ``guard``
         Optional :class:`~repro.training.resilience.GuardPolicy`; when
         set, the run trains under the skip → LR-backoff → restore →
@@ -319,22 +250,18 @@ class RunSpec:
         bitwise-consistently.
     ``objectives``
         Optional tuple of
-        :class:`~repro.objectives.registry.ObjectiveSpec` (or their
-        dicts).  When set, the trainer replaces the model's own objective
-        stack with ELBO + these terms before ``on_fit_start`` — the
-        regularizer-zoo sweep path (``()`` trains pure ELBO).  ``None``
-        keeps whatever the model declares.
-
-    Use :meth:`to_dict`/:meth:`from_dict` (or the JSON twins) to move a
-    spec through config files and process boundaries.
+        :class:`~repro.objectives.registry.ObjectiveSpec`.  When set, the
+        trainer replaces the model's own objective stack with ELBO +
+        these terms before ``on_fit_start`` — the regularizer-zoo sweep
+        path (``()`` trains pure ELBO).  ``None`` keeps whatever the
+        model declares.
     """
 
-    model: "NTMConfig | None" = None
     guard: GuardPolicy | None = None
     checkpoint: CheckpointSpec | None = None
     faults: FaultPlan | None = None
-    resume_from: str | None = None
-    objectives: "tuple | None" = None
+    resume_from: str | Path | None = None
+    objectives: "tuple[ObjectiveSpec, ...] | None" = None
 
     def __post_init__(self) -> None:
         if self.objectives is not None:
@@ -342,80 +269,13 @@ class RunSpec:
             # machinery, which plain training runs never need.
             from repro.objectives.registry import ObjectiveSpec
 
-            specs = []
             for entry in self.objectives:
-                if isinstance(entry, ObjectiveSpec):
-                    specs.append(entry)
-                elif isinstance(entry, dict):
-                    specs.append(ObjectiveSpec.from_dict(entry))
-                else:
+                if not isinstance(entry, ObjectiveSpec):
                     raise ConfigError(
-                        "RunSpec.objectives entries must be ObjectiveSpec "
-                        f"or mappings, got {type(entry).__name__}"
+                        "RunSpec.objectives entries must be ObjectiveSpec, "
+                        f"got {type(entry).__name__}"
                     )
-            self.objectives = tuple(specs)
-
-    # -- convenience constructors --------------------------------------
-    @classmethod
-    def guarded(cls, **kwargs) -> "RunSpec":
-        """A spec with the default guard policy enabled."""
-        kwargs.setdefault("guard", GuardPolicy())
-        return cls(**kwargs)
-
-    # -- dict / JSON round-trip ----------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data form (nested dataclasses become dicts, tuples lists)."""
-        return {
-            "model": _encode(self.model),
-            "guard": _encode(self.guard),
-            "checkpoint": _encode(self.checkpoint),
-            "faults": _encode(self.faults),
-            "resume_from": (
-                str(self.resume_from) if self.resume_from is not None else None
-            ),
-            "objectives": (
-                [spec.to_dict() for spec in self.objectives]
-                if self.objectives is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        """Inverse of :meth:`to_dict`; validates fields via the dataclasses."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"RunSpec.from_dict expects a mapping, got {type(data)}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown RunSpec fields: {sorted(unknown)}")
-        from repro.models.base import NTMConfig
-
-        resume = data.get("resume_from")
-        objectives = data.get("objectives")
-        if objectives is not None and not isinstance(objectives, (list, tuple)):
-            raise ConfigError(
-                "RunSpec field 'objectives' must be a list of objective "
-                f"specs or null, got {type(objectives).__name__}"
-            )
-        return cls(
-            model=_decode(NTMConfig, data.get("model"), "model"),
-            guard=_decode(GuardPolicy, data.get("guard"), "guard"),
-            checkpoint=_decode(CheckpointSpec, data.get("checkpoint"), "checkpoint"),
-            faults=_decode(FaultPlan, data.get("faults"), "faults"),
-            resume_from=str(resume) if resume is not None else None,
-            objectives=tuple(objectives) if objectives is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid RunSpec JSON: {exc}") from exc
-        return cls.from_dict(data)
+            self.objectives = tuple(self.objectives)
 
 
 # ----------------------------------------------------------------------
@@ -424,155 +284,47 @@ class RunSpec:
 class Trainer:
     """Algorithm-1 style epoch/mini-batch training with Adam, as a service.
 
-    Parameters
-    ----------
-    spec:
-        Declarative run configuration; ``None`` means a plain unguarded
-        run (exactly the old ``model.fit(corpus)`` behaviour).
-    callbacks:
-        Callbacks attached to every ``fit`` this trainer runs, *after*
-        the spec-derived ones (the checkpoint callback built from
-        ``spec.checkpoint`` always observes an epoch first, so telemetry
-        sees its log annotations).
-
-    One trainer may run many fits; all per-run state lives in the
+    ``spec`` is the run's configuration; ``None`` means a plain unguarded
+    run.  One trainer may run many fits; all per-run state lives in the
     :class:`TrainState` attached to each model.
     """
 
-    def __init__(
-        self,
-        spec: RunSpec | None = None,
-        *,
-        callbacks: Sequence["Callback"] = (),
-    ):
+    def __init__(self, spec: RunSpec | None = None):
         self.spec = spec if spec is not None else RunSpec()
-        self.callbacks: list["Callback"] = list(callbacks)
-
-    # ------------------------------------------------------------------
-    # construction helpers (one per spec field, each overridable)
-    # ------------------------------------------------------------------
-    def build_optimizer(self, model) -> Optimizer:
-        """Adam over the model's parameters at the configured rate."""
-        return Adam(model.parameters(), lr=model.config.learning_rate)
-
-    def build_batch_rng(self, model) -> np.random.Generator:
-        """The batch-shuffling stream (seeded off the model seed)."""
-        return np.random.default_rng(model.config.seed + 1)
-
-    def build_guard(self, model, optimizer: Optimizer) -> TrainingGuard | None:
-        """Materialize the spec's guard policy into a runtime, if any."""
-        if self.spec.guard is None:
-            return None
-        return TrainingGuard(self.spec.guard, model=model, optimizer=optimizer)
-
-    def build_callbacks(self) -> list["Callback"]:
-        """Spec-derived callbacks (currently: the checkpoint callback)."""
-        if self.spec.checkpoint is None:
-            return []
-        ckpt = self.spec.checkpoint
-        return [
-            CheckpointCallback(
-                ckpt.directory, every=ckpt.every, monitor=ckpt.monitor
-            )
-        ]
-
-    def build_faults(
-        self, override: FaultInjector | None
-    ) -> tuple[FaultInjector | None, bool]:
-        """Resolve the run's fault injector.
-
-        Returns ``(injector, trainer_owns_interrupts)``: the trainer only
-        activates the :func:`interrupted_writes` context for injectors it
-        built itself from ``spec.faults`` — a caller-supplied injector
-        keeps ownership of that context (the pre-existing contract of
-        ``fit(faults=...)``).
-        """
-        if override is not None:
-            return override, False
-        if self.spec.faults is not None:
-            plan = self.spec.faults
-            return FaultInjector(plan), bool(plan.interrupt_saves)
-        return None, False
-
-    # ------------------------------------------------------------------
-    # the batch-step pipeline: zero_grad → loss → faults → guard →
-    # backward → faults → clip → guard → step.  Each stage is a named
-    # method so tests (and subclasses) can exercise or replace one stage
-    # at a time.
-    # ------------------------------------------------------------------
-    def zero_grad(self, state: TrainState) -> None:
-        """Clear accumulated gradients before the batch's forward pass."""
-        state.optimizer.zero_grad()
-
-    def compute_loss(self, model, bow: Batch):
-        """Forward pass: the model's total loss and its scalar parts."""
-        return model.loss_on_batch(bow)
-
-    def inject_loss_fault(self, state: TrainState, loss) -> None:
-        """Fault harness: corrupt the loss when the plan says so."""
-        if state.faults is not None:
-            state.faults.corrupt_loss(loss)
-
-    def guard_loss(self, state: TrainState, loss) -> bool:
-        """False (batch aborted) when the guard rejects a non-finite loss."""
-        guard = state.guard
-        if guard is not None and not guard.check_loss(loss.item()):
-            guard.handle_fault("loss")
-            return False
-        return True
-
-    def backward(self, loss) -> None:
-        """Reverse pass: populate parameter gradients."""
-        loss.backward()
-
-    def inject_gradient_fault(self, state: TrainState, model) -> None:
-        """Fault harness: blow up gradients when the plan says so."""
-        if state.faults is not None:
-            state.faults.corrupt_gradients(model.parameters())
 
     def clip_gradients(self, model) -> float:
         """Global-norm clipping; returns the pre-clip norm."""
         return clip_grad_norm(model.parameters(), model.config.grad_clip)
 
-    def guard_gradients(self, state: TrainState, grad_norm: float) -> bool:
-        """False (batch aborted) when the guard rejects the gradient norm."""
-        guard = state.guard
-        if guard is not None and not guard.check_gradients(grad_norm):
-            guard.handle_fault("gradient")
-            return False
-        return True
-
-    def apply_step(self, state: TrainState) -> None:
-        """Optimizer update, then tell the guard the batch was clean."""
-        state.optimizer.step()
-        if state.guard is not None:
-            state.guard.on_batch_ok()
-
     def train_batch(
         self, model, state: TrainState, bow: Batch
     ) -> tuple[dict[str, float], float] | None:
-        """Run one batch through the pipeline.
+        """Run one batch: loss, backward, clip and the Adam step.
 
         Returns ``(loss parts, pre-clip grad norm)``, or ``None`` when the
         guard skipped the batch (its statistics then stay out of the
         epoch averages, exactly as a skipped batch should).
         """
-        self.zero_grad(state)
-        loss, parts = self.compute_loss(model, bow)
-        self.inject_loss_fault(state, loss)
-        if not self.guard_loss(state, loss):
+        guard, faults = state.guard, state.faults
+        state.optimizer.zero_grad()
+        loss, parts = model.loss_on_batch(bow)
+        if faults is not None:
+            faults.corrupt_loss(loss)
+        if guard is not None and not guard.check_loss(loss.item()):
+            guard.handle_fault("loss")
             return None
-        self.backward(loss)
-        self.inject_gradient_fault(state, model)
+        loss.backward()
+        if faults is not None:
+            faults.corrupt_gradients(model.parameters())
         grad_norm = self.clip_gradients(model)
-        if not self.guard_gradients(state, grad_norm):
+        if guard is not None and not guard.check_gradients(grad_norm):
+            guard.handle_fault("gradient")
             return None
-        self.apply_step(state)
+        state.optimizer.step()
+        if guard is not None:
+            guard.on_batch_ok()
         return parts, grad_norm
 
-    # ------------------------------------------------------------------
-    # epoch loop
-    # ------------------------------------------------------------------
     def train_epoch(
         self, model, state: TrainState, batches: BatchIterator
     ) -> dict[str, float]:
@@ -607,23 +359,18 @@ class Trainer:
             state.guard.on_epoch_end()
         return logs
 
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
     def fit(
         self,
         model,
         corpus: "Corpus",
         *,
         callbacks: Sequence["Callback"] = (),
-        faults: FaultInjector | None = None,
-        resume_from: str | Path | None = None,
     ):
         """Train ``model`` on ``corpus`` under this trainer's spec.
 
-        ``callbacks``/``faults``/``resume_from`` are per-call extensions
-        of (respectively: appended to, overriding, overriding) the
-        corresponding spec settings.  Returns the model, fitted, with its
+        ``callbacks`` observe the epoch loop after the checkpoint callback
+        ``spec.checkpoint`` builds (so telemetry sees its log
+        annotations).  Returns the model, fitted, with its
         :class:`TrainState` left attached as ``model._trainer``.
         """
         _check_contract(model)
@@ -632,35 +379,51 @@ class Trainer:
                 f"corpus vocab {corpus.vocab_size} != model vocab "
                 f"{model.vocab_size}"
             )
-        run_callbacks = [*self.build_callbacks(), *self.callbacks, *callbacks]
-        injector, owns_interrupts = self.build_faults(faults)
+        spec = self.spec
+        run_callbacks: list["Callback"] = []
+        if spec.checkpoint is not None:
+            ckpt = spec.checkpoint
+            run_callbacks.append(
+                CheckpointCallback(
+                    ckpt.directory, every=ckpt.every, monitor=ckpt.monitor
+                )
+            )
+        run_callbacks.extend(callbacks)
+        faults = FaultInjector(spec.faults) if spec.faults is not None else None
 
         model.train()
-        if self.spec.objectives is not None:
+        if spec.objectives is not None:
             from repro.objectives.registry import attach_objectives
 
             # Before on_fit_start so the spec-built terms' prepare hooks
             # (NPMI kernels, idf tables, RNG seeding) see the corpus.
-            attach_objectives(model, self.spec.objectives)
+            attach_objectives(model, spec.objectives)
         model.on_fit_start(corpus)
-        optimizer = self.build_optimizer(model)
-        batch_rng = self.build_batch_rng(model)
+        optimizer = Adam(model.parameters(), lr=model.config.learning_rate)
+        batch_rng = np.random.default_rng(model.config.seed + 1)
         start_epoch = 0
-        resume = resume_from if resume_from is not None else self.spec.resume_from
-        if resume is not None:
-            start_epoch = restore_training_state(model, resume, optimizer, batch_rng)
+        if spec.resume_from is not None:
+            start_epoch = restore_training_state(
+                model, spec.resume_from, optimizer, batch_rng
+            )
         state = TrainState(
             optimizer=optimizer,
             batch_rng=batch_rng,
-            guard=self.build_guard(model, optimizer),
-            faults=injector,
+            # Built after the restore: the guard snapshots the resumed
+            # parameters as its first restore point.
+            guard=(
+                TrainingGuard(spec.guard, model=model, optimizer=optimizer)
+                if spec.guard is not None
+                else None
+            ),
+            faults=faults,
             epoch=start_epoch - 1,
         )
         model._trainer = state
 
         interrupts = (
-            interrupted_writes(injector)
-            if owns_interrupts
+            interrupted_writes(faults)
+            if faults is not None and faults.plan.interrupt_saves
             else contextlib.nullcontext()
         )
         with interrupts:

@@ -29,11 +29,11 @@ def topic_contrastive_loss_composed(
     samples = as_tensor(samples)
     _check_shapes(samples, kernel)
 
-    # Constant tensors are cached on the kernel (per dtype): re-wrapping
-    # the (V, V) matrix every batch costs an astype copy under float32.
+    # The kernel caches the cast constants per dtype; wrapping them is
+    # no copy.
     dtype = samples.data.dtype
-    exp_kernel = kernel.exp_matrix_tensor(dtype)    # (V, V), constant
-    diag = kernel.exp_diag_tensor(dtype)            # (V,), constant
+    exp_kernel = Tensor(kernel.exp_matrix_as(dtype))  # (V, V), constant
+    diag = Tensor(kernel.exp_diag_as(dtype))          # (V,), constant
 
     # S[k, w] = Σ_w' y[k, w'] exp(K(w, w'))  — kernel is symmetric.
     similarity_sums = samples @ exp_kernel           # (K, V)

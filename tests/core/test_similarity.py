@@ -123,19 +123,17 @@ class TestRefresh:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_cached_tensors_refresh_in_place(self, dtype):
         kernel = self._kernel()
-        exp_t = kernel.exp_matrix_tensor(np.dtype(dtype))
-        diag_t = kernel.exp_diag_tensor(np.dtype(dtype))
+        exp = kernel.exp_matrix_as(np.dtype(dtype))
+        diag = kernel.exp_diag_as(np.dtype(dtype))
         kernel.matrix *= 0.25
         kernel.refresh()
-        # Long-lived consumers keep the same Tensor objects and observe
-        # the refreshed values through them.
-        assert kernel.exp_matrix_tensor(np.dtype(dtype)) is exp_t
-        assert kernel.exp_diag_tensor(np.dtype(dtype)) is diag_t
+        # Long-lived consumers keep the same arrays and observe the
+        # refreshed values through them.
+        assert kernel.exp_matrix_as(np.dtype(dtype)) is exp
+        assert kernel.exp_diag_as(np.dtype(dtype)) is diag
         np.testing.assert_allclose(
-            exp_t.data,
+            exp,
             np.exp(kernel.matrix / kernel.temperature).astype(dtype),
             rtol=1e-6,
         )
-        np.testing.assert_allclose(
-            diag_t.data, np.diagonal(exp_t.data), rtol=1e-6
-        )
+        np.testing.assert_allclose(diag, np.diagonal(exp), rtol=1e-6)

@@ -1,4 +1,4 @@
-"""ObjectiveSpec validation, RunSpec round-trips and trainer attachment."""
+"""ObjectiveSpec validation, RunSpec objectives and trainer attachment."""
 
 import pickle
 from dataclasses import replace
@@ -44,20 +44,6 @@ class TestObjectiveSpec:
             assert ObjectiveSpec(name).resolved_weight() == DEFAULT_WEIGHTS[name]
         assert ObjectiveSpec("vicreg", weight=3.5).resolved_weight() == 3.5
 
-    def test_dict_round_trip(self):
-        spec = ObjectiveSpec(
-            "coherence", weight=2.0, params={"diversity_weight": 0.5}
-        )
-        assert ObjectiveSpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_requires_name(self):
-        with pytest.raises(ConfigError):
-            ObjectiveSpec.from_dict({"weight": 1.0})
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError):
-            ObjectiveSpec.from_dict({"name": "coherence", "strength": 1.0})
-
     def test_build_objective_rejects_unknown_params(self):
         with pytest.raises(ConfigError):
             build_objective(ObjectiveSpec("coherence", params={"tau": 0.1}))
@@ -80,40 +66,19 @@ class TestRunSpecObjectives:
         return RunSpec(
             objectives=(
                 ObjectiveSpec("coherence", weight=2.0),
-                {"name": "vicreg"},
+                ObjectiveSpec("vicreg"),
             )
         )
-
-    def test_dicts_coerce_to_specs(self):
-        spec = self._spec()
-        assert all(isinstance(o, ObjectiveSpec) for o in spec.objectives)
-        assert spec.objectives[1].name == "vicreg"
 
     def test_invalid_entry_rejected(self):
         with pytest.raises(ConfigError):
             RunSpec(objectives=("coherence",))
-
-    def test_dict_round_trip(self):
-        spec = self._spec()
-        restored = RunSpec.from_dict(spec.to_dict())
-        assert restored.objectives == spec.objectives
-
-    def test_json_round_trip(self):
-        spec = self._spec()
-        assert RunSpec.from_json(spec.to_json()).objectives == spec.objectives
+        with pytest.raises(ConfigError):
+            RunSpec(objectives=({"name": "vicreg"},))
 
     def test_pickle_round_trip(self):
         spec = self._spec()
         assert pickle.loads(pickle.dumps(spec)).objectives == spec.objectives
-
-    def test_none_and_empty_survive_round_trips(self):
-        assert RunSpec.from_dict(RunSpec().to_dict()).objectives is None
-        empty = RunSpec(objectives=())
-        assert RunSpec.from_dict(empty.to_dict()).objectives == ()
-
-    def test_from_dict_rejects_non_list_objectives(self):
-        with pytest.raises(ConfigError):
-            RunSpec.from_dict({"objectives": "coherence"})
 
 
 class TestTrainerAttachment:

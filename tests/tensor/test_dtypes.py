@@ -204,6 +204,7 @@ class TestFloat32Training:
         from repro.core.contratopic import ContraTopic
         from repro.models.etm import ETM
         from repro.training.resilience import GuardPolicy
+        from repro.training.trainer import RunSpec, Trainer
 
         with default_dtype("float32"):
             model = ContraTopic(
@@ -211,7 +212,7 @@ class TestFloat32Training:
                 npmi_kernel(tiny_npmi, temperature=0.25),
                 ContraTopicConfig(lambda_weight=5.0),
             )
-            model.fit(tiny_corpus, guard=GuardPolicy())
+            Trainer(RunSpec(guard=GuardPolicy())).fit(model, tiny_corpus)
 
         assert all(p.data.dtype == np.float32 for p in model.parameters())
         losses = [epoch["total"] for epoch in model.history]

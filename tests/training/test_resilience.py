@@ -1,5 +1,7 @@
 """Numerical guards: the escalation ladder, and checkpointing callbacks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.io import restore_checkpoint
 from repro.models import CLNTM, ProdLDA
 from repro.nn import Adam, SGD
 from repro.objectives import ObjectiveSpec, attach_objectives
-from repro.training.faults import FaultInjector, interrupted_writes
+from repro.training.faults import FaultPlan
 from repro.training.resilience import (
     GUARD_COUNTERS,
     CheckpointCallback,
@@ -16,7 +18,13 @@ from repro.training.resilience import (
     TrainingGuard,
     save_training_checkpoint,
 )
-from repro.training.trainer import capture_training_state, restore_training_state
+from repro.training.trainer import (
+    CheckpointSpec,
+    RunSpec,
+    Trainer,
+    capture_training_state,
+    restore_training_state,
+)
 
 
 def _guarded(fast_config, model_cls=ProdLDA, **policy_kwargs):
@@ -235,9 +243,9 @@ class TestPerTermDegradation:
 class TestGuardedFit:
     def test_injected_nan_is_survived_and_logged(self, tiny_corpus, fast_config):
         model = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        injector = FaultInjector(nan_loss_steps=(1, 2))
-        model.fit(tiny_corpus, guard=GuardPolicy(), faults=injector)
-        assert injector.counts["nan_loss"] == 2
+        spec = RunSpec(guard=GuardPolicy(), faults=FaultPlan(nan_loss_steps=(1, 2)))
+        Trainer(spec).fit(model, tiny_corpus)
+        assert model._trainer.faults.counts["nan_loss"] == 2
         guard = model._trainer.guard
         assert guard.counts["faults"] == 2
         assert guard.counts["skipped_batches"] == 2
@@ -247,10 +255,10 @@ class TestGuardedFit:
 
     def test_injected_gradient_blowup_is_caught(self, tiny_corpus, fast_config):
         model = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        injector = FaultInjector(exploding_grad_steps=(0,))
-        model.fit(tiny_corpus, guard=GuardPolicy(), faults=injector)
+        spec = RunSpec(guard=GuardPolicy(), faults=FaultPlan(exploding_grad_steps=(0,)))
+        Trainer(spec).fit(model, tiny_corpus)
         guard = model._trainer.guard
-        assert injector.counts["exploding_grad"] == 1
+        assert model._trainer.faults.counts["exploding_grad"] == 1
         assert guard.counts["faults"] == 1
         assert any("gradient:" in action for action in guard.actions)
         assert np.isfinite(model.history[-1]["total"])
@@ -293,17 +301,48 @@ class TestCheckpointCallback:
     ):
         model = ProdLDA(tiny_corpus.vocab_size, fast_config)
         callback = CheckpointCallback(tmp_path / "ckpt")
-        injector = FaultInjector(interrupt_saves=(0,))
-        with interrupted_writes(injector):
-            model.fit(tiny_corpus, callbacks=[callback], faults=injector)
+        spec = RunSpec(faults=FaultPlan(interrupt_saves=(0,)))
+        Trainer(spec).fit(model, tiny_corpus, callbacks=[callback])
         assert callback.interrupted == 1
-        assert injector.counts["interrupted_saves"] == 1
+        assert model._trainer.faults.counts["interrupted_saves"] == 1
         # epoch 0's last.npz commit crashed; the epoch-1 save replaced it
         assert callback.last_path.exists()
         assert sum(
             e.get("guard_interrupted_saves", 0.0) for e in model.history
         ) == 1.0
         assert not list((tmp_path / "ckpt").glob("*.tmp"))
+
+    def test_resumed_run_keeps_the_best_checkpoint_epoch(
+        self, tiny_corpus, fast_config, tmp_path
+    ):
+        # At this rate the mean gradient norm bottoms out at epoch 2 and
+        # rises after, so the epochs run after a resume never beat it.
+        config = dataclasses.replace(fast_config, learning_rate=3e-2)
+
+        def best_epoch(directory):
+            meta = restore_checkpoint(
+                ProdLDA(tiny_corpus.vocab_size, config), directory / "best.npz"
+            )
+            return meta["trainer_state"]["epoch"]
+
+        def spec(directory, **kwargs):
+            checkpoint = CheckpointSpec(str(directory), monitor="grad_norm")
+            return RunSpec(checkpoint=checkpoint, **kwargs)
+
+        full = ProdLDA(tiny_corpus.vocab_size, config)
+        Trainer(spec(tmp_path / "full")).fit(full, tiny_corpus)
+
+        short = dataclasses.replace(config, epochs=3)
+        interrupted = ProdLDA(tiny_corpus.vocab_size, short)
+        Trainer(spec(tmp_path / "resumed")).fit(interrupted, tiny_corpus)
+        resumed = ProdLDA(tiny_corpus.vocab_size, config)
+        resume = spec(tmp_path / "resumed", resume_from=tmp_path / "resumed" / "last.npz")
+        Trainer(resume).fit(resumed, tiny_corpus)
+
+        monitored = [[e["grad_norm"] for e in m.history] for m in (full, resumed)]
+        assert monitored[0] == monitored[1]
+        assert best_epoch(tmp_path / "full") == 2
+        assert best_epoch(tmp_path / "resumed") == best_epoch(tmp_path / "full")
 
     def test_save_training_checkpoint_requires_a_fit(self, fast_config, tmp_path):
         model = ProdLDA(30, fast_config)

@@ -9,7 +9,7 @@ from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
 from repro.io import CheckpointError, save_checkpoint
 from repro.models import CLNTM, ETM, ProdLDA, build_model
 from repro.training.resilience import CheckpointCallback
-from repro.training.trainer import capture_training_state
+from repro.training.trainer import RunSpec, Trainer, capture_training_state
 
 
 def _assert_bitwise_equal(full, resumed):
@@ -36,7 +36,7 @@ class TestBitwiseResume:
         interrupted.fit(tiny_corpus, callbacks=[callback])
 
         resumed = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        resumed.fit(tiny_corpus, resume_from=callback.last_path)
+        Trainer(RunSpec(resume_from=callback.last_path)).fit(resumed, tiny_corpus)
         assert len(resumed.history) == fast_config.epochs
         _assert_bitwise_equal(full, resumed)
 
@@ -60,7 +60,7 @@ class TestBitwiseResume:
         interrupted.fit(tiny_corpus, callbacks=[callback])
 
         resumed = make(fast_config)
-        resumed.fit(tiny_corpus, resume_from=callback.last_path)
+        Trainer(RunSpec(resume_from=callback.last_path)).fit(resumed, tiny_corpus)
         _assert_bitwise_equal(full, resumed)
 
     @pytest.mark.parametrize("name", ["vtmrl", "ntmr", "ecrtm"])
@@ -86,7 +86,7 @@ class TestBitwiseResume:
         interrupted.fit(tiny_corpus, callbacks=[callback])
 
         resumed = make(fast_config)
-        resumed.fit(tiny_corpus, resume_from=callback.last_path)
+        Trainer(RunSpec(resume_from=callback.last_path)).fit(resumed, tiny_corpus)
         _assert_bitwise_equal(full, resumed)
 
     def test_resume_restores_history_and_epoch_numbering(
@@ -98,7 +98,7 @@ class TestBitwiseResume:
         interrupted.fit(tiny_corpus, callbacks=[callback])
 
         resumed = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        resumed.fit(tiny_corpus, resume_from=callback.last_path)
+        Trainer(RunSpec(resume_from=callback.last_path)).fit(resumed, tiny_corpus)
         epochs = [e["epoch"] for e in resumed.history]
         assert epochs == [float(i) for i in range(fast_config.epochs)]
 
@@ -113,7 +113,7 @@ class TestResumeValidation:
 
         fresh = ProdLDA(tiny_corpus.vocab_size, fast_config)
         with pytest.raises(CheckpointError):
-            fresh.fit(tiny_corpus, resume_from=path)
+            Trainer(RunSpec(resume_from=path)).fit(fresh, tiny_corpus)
 
     def test_unknown_rng_stream_is_rejected(
         self, tiny_corpus, fast_config, tmp_path
@@ -127,7 +127,7 @@ class TestResumeValidation:
         fresh = ProdLDA(tiny_corpus.vocab_size, fast_config)
         fresh.rng_streams = lambda: {"renamed": fresh._rng}
         with pytest.raises(CheckpointError):
-            fresh.fit(tiny_corpus, resume_from=callback.last_path)
+            Trainer(RunSpec(resume_from=callback.last_path)).fit(fresh, tiny_corpus)
 
     def _rewritten_checkpoint(self, corpus, config, path, edit):
         """A resumable CLNTM checkpoint whose trainer state ``edit`` alters."""
@@ -152,7 +152,7 @@ class TestResumeValidation:
         )
         fresh = CLNTM(tiny_corpus.vocab_size, fast_config)
         with pytest.raises(CheckpointError) as info:
-            fresh.fit(tiny_corpus, resume_from=path)
+            Trainer(RunSpec(resume_from=path)).fit(fresh, tiny_corpus)
         message = str(info.value)
         assert "stale.npz" in message
         assert "['extra']" in message
@@ -170,7 +170,7 @@ class TestResumeValidation:
         )
         fresh = CLNTM(tiny_corpus.vocab_size, fast_config)
         with pytest.raises(CheckpointError) as info:
-            fresh.fit(tiny_corpus, resume_from=path)
+            Trainer(RunSpec(resume_from=path)).fit(fresh, tiny_corpus)
         message = str(info.value)
         assert "pre_stack.npz" in message
         assert "no objective_terms" in message

@@ -18,6 +18,7 @@ from repro.tensor import dtypes
 from repro.tensor.dtypes import sparse_policy
 from repro.tensor.sparse import CSRBatch
 from repro.training.resilience import CheckpointCallback
+from repro.training.trainer import RunSpec, Trainer
 
 from tests.training.test_resume import _assert_bitwise_equal
 
@@ -107,7 +108,7 @@ class TestSparseResume:
             interrupted.fit(tiny_corpus, callbacks=[callback])
 
             resumed = ProdLDA(tiny_corpus.vocab_size, fast_config)
-            resumed.fit(tiny_corpus, resume_from=callback.last_path)
+            Trainer(RunSpec(resume_from=callback.last_path)).fit(resumed, tiny_corpus)
         _assert_bitwise_equal(full, resumed)
 
     def test_sparse_and_dense_training_converge_together(

@@ -1,7 +1,6 @@
-"""The standalone training engine: facade equivalence, RunSpec, pipeline."""
+"""The training engine: facade equivalence, RunSpec, the batch step."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
 from repro.errors import ConfigError
 from repro.models import ETM, ProdLDA
-from repro.models.base import NTMConfig
 from repro.tensor.dtypes import default_dtype, get_default_dtype
 from repro.training.faults import FaultPlan
 from repro.training.resilience import GuardPolicy
@@ -38,7 +36,7 @@ def _make_contratopic(corpus, embeddings, npmi, config):
 
 
 class TestBitwiseFacade:
-    """Old-style ``model.fit`` and the Trainer entry point must coincide."""
+    """``model.fit`` and ``Trainer(RunSpec()).fit`` must coincide bitwise."""
 
     def test_etm_history_identical_old_style_vs_trainer(
         self, tiny_corpus, tiny_embeddings, fast_config
@@ -97,24 +95,6 @@ class TestCheckpointResumeThroughTrainer:
         assert len(resumed.history) == fast_config.epochs
         _assert_bitwise_equal(full, resumed)
 
-    def test_per_call_resume_overrides_spec(
-        self, tiny_corpus, fast_config, tmp_path
-    ):
-        ckpt_dir = tmp_path / "ckpt"
-        interrupted = ProdLDA(
-            tiny_corpus.vocab_size, dataclasses.replace(fast_config, epochs=2)
-        )
-        Trainer(RunSpec(checkpoint=CheckpointSpec(str(ckpt_dir)))).fit(
-            interrupted, tiny_corpus
-        )
-
-        resumed = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        Trainer().fit(
-            resumed, tiny_corpus, resume_from=ckpt_dir / "last.npz"
-        )
-        full = ProdLDA(tiny_corpus.vocab_size, fast_config).fit(tiny_corpus)
-        _assert_bitwise_equal(full, resumed)
-
 
 class TestGuardThroughTrainer:
     def test_injected_nan_losses_are_skipped_and_counted(
@@ -134,67 +114,14 @@ class TestGuardThroughTrainer:
         assert sum(e.get("guard_faults", 0.0) for e in model.history) == 2.0
         assert np.isfinite(model.history[-1]["total"])
 
-    def test_guard_spec_matches_old_style_guard_kwarg(
-        self, tiny_corpus, fast_config
-    ):
-        old = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        old.fit(tiny_corpus, guard=GuardPolicy())
-
-        new = ProdLDA(tiny_corpus.vocab_size, fast_config)
-        Trainer(RunSpec.guarded()).fit(new, tiny_corpus)
-        _assert_bitwise_equal(old, new)
-
 
 class TestRunSpecRoundTrip:
-    def _full_spec(self) -> RunSpec:
-        return RunSpec(
-            model=NTMConfig(num_topics=8, hidden_sizes=(32, 16), epochs=3),
-            guard=GuardPolicy(max_faults=7),
-            checkpoint=CheckpointSpec("ckpt", every=2, monitor="rec"),
-            faults=FaultPlan(
-                nan_loss_steps=(1, 2),
-                exploding_grad_steps=(3,),
-                interrupt_saves=(0,),
-                seed=4,
-            ),
-            resume_from="ckpt/last.npz",
-        )
-
-    def test_dict_round_trip_preserves_every_field(self):
-        spec = self._full_spec()
-        assert RunSpec.from_dict(spec.to_dict()) == spec
-
-    def test_to_dict_is_json_serializable_plain_data(self):
-        data = self._full_spec().to_dict()
-        assert json.loads(json.dumps(data)) == data
-        assert isinstance(data["model"]["hidden_sizes"], list)
-
-    def test_json_round_trip(self):
-        spec = self._full_spec()
-        assert RunSpec.from_json(spec.to_json()) == spec
-
-    def test_empty_spec_round_trips(self):
-        assert RunSpec.from_dict(RunSpec().to_dict()) == RunSpec()
-
     def test_unknown_field_is_rejected(self):
-        with pytest.raises(ConfigError):
-            RunSpec.from_dict({"bogus": 1})
-        # A field RunSpec no longer has fails loudly instead of being
+        # A field RunSpec does not have fails loudly instead of being
         # silently ignored.
-        with pytest.raises(ConfigError):
-            RunSpec.from_dict({"ddp_workers": 2})
-
-    def test_bad_nested_field_is_rejected(self):
-        with pytest.raises(ConfigError):
-            RunSpec.from_dict({"guard": {"not_a_policy_field": 1}})
-
-    def test_non_mapping_input_is_rejected(self):
-        with pytest.raises(ConfigError):
-            RunSpec.from_dict("guard")
-
-    def test_invalid_json_is_rejected(self):
-        with pytest.raises(ConfigError):
-            RunSpec.from_json("{not json")
+        for name in ("model", "ddp_workers", "bogus"):
+            with pytest.raises(TypeError):
+                RunSpec(**{name: 1})
 
     def test_checkpoint_spec_validates(self):
         with pytest.raises(ConfigError):
