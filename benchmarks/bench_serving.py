@@ -17,10 +17,17 @@ checkpoint hot-loads, and asserts the serving invariants:
 * a corrupt hot-load rolls back to the serving model (a rollback is
   counted, no request fails because of it) and a later clean publication
   goes live.
+
+A third (ungated) soak leg pushes ten times the request count through
+one default-config service, round after round, and asserts that nothing
+goes unanswered and that resident memory stays flat after a warm-up
+round: the service's per-batch state must not grow with the number of
+batches it has served.
 """
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 
 from benchmarks.conftest import FAST, emit_report, print_block
@@ -54,6 +61,12 @@ SERVE_CONFIG = ServingConfig(
     breaker_threshold=3,
     breaker_cooldown_ms=50.0,
 )
+
+
+#: Soak leg: rounds of ``NUM_REQUESTS`` through one service, the first a
+#: warm-up, and the resident-memory growth allowed after it.
+SOAK_ROUNDS = 10
+SOAK_RSS_GROWTH_MB = 4.0
 
 
 @lru_cache(maxsize=1)
@@ -213,3 +226,53 @@ def test_serving_chaos_resilience(tmp_path):
     assert registry.rollbacks >= 1
     assert registry.reloads >= 1
     assert registry.version > 1
+
+
+def _rss_mb() -> float:
+    """This process's resident memory (``VmRSS``) in MB."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmRSS line in /proc/self/status")
+
+
+def test_serving_soak_memory_stays_flat():
+    """Soak leg: 10x the requests through one default-config service."""
+    corpus, model, _ = _fitted()
+    service = InferenceService(ModelRegistry(model), corpus.vocabulary)
+    requests = build_requests(
+        corpus,
+        LoadProfile(
+            num_requests=NUM_REQUESTS,
+            concurrency=CONCURRENCY,
+            coherence_weight=0.0,
+            seed=2,
+        ),
+    )
+    growth_mb = []
+    for round_index in range(SOAK_ROUNDS):
+        report = run_load(service, requests, concurrency=CONCURRENCY)
+        assert report.unanswered == 0
+        assert report.status_counts[OK] == NUM_REQUESTS
+        del report
+        gc.collect()
+        if round_index == 0:
+            warm_rss = _rss_mb()
+        else:
+            growth_mb.append(_rss_mb() - warm_rss)
+
+    stats = service.stats()
+    print_block(
+        format_table(
+            ["metric", "value"],
+            [
+                ["requests", str(stats["count_requests"])],
+                ["batches", str(stats["count_batches"])],
+                ["batch_size_mean", f"{stats['batch_size_mean']:.2f}"],
+                ["rss_growth_mb_max", f"{max(growth_mb):.2f}"],
+            ],
+        )
+    )
+    assert stats["count_requests"] == SOAK_ROUNDS * NUM_REQUESTS
+    assert max(growth_mb) < SOAK_RSS_GROWTH_MB, growth_mb

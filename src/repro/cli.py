@@ -627,7 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch-size", type=int, default=None, help="micro-batch coalescing bound"
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=None, help="micro-batch coalescing window"
+        "--max-wait-ms",
+        type=float,
+        default=None,
+        help="extra wait for more requests once the queue is empty (default 0)",
     )
     serve.add_argument(
         "--queue-capacity", type=int, default=None, help="admission queue hard bound"

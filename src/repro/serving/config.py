@@ -1,4 +1,4 @@
-"""Serving configuration: coalescing windows, deadlines, resilience knobs.
+"""Serving configuration: batch limits, deadlines, resilience knobs.
 
 One frozen :class:`ServingConfig` travels through the whole serving
 stack — the micro-batching front door, admission control, the retry
@@ -25,8 +25,11 @@ class ServingConfig:
     max_batch_size:
         Upper bound on how many requests one micro-batch coalesces.
     max_wait_ms:
-        How long the batcher waits for more requests after the first one
-        arrives before dispatching a partial batch.
+        Extra wait for more requests once the queue is empty.  The batcher
+        always drains what is already queued (up to ``max_batch_size``)
+        and, at the default 0, then dispatches at once; a positive window
+        lets a partial batch linger up to this long after its first
+        request for later arrivals.
     queue_capacity:
         Hard bound of the admission queue; a full queue sheds outright.
     shed_watermark:
@@ -49,7 +52,7 @@ class ServingConfig:
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 5.0
+    max_wait_ms: float = 0.0
     queue_capacity: int = 256
     shed_watermark: float = 0.75
     deadline_ms: float = 1000.0

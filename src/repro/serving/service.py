@@ -3,14 +3,16 @@
 :class:`InferenceService` is an asyncio service that turns many small
 concurrent requests into few large model calls:
 
-* **Micro-batching** — the worker takes the first queued request, then
-  coalesces more for up to ``max_wait_ms`` (or until ``max_batch_size``),
-  so concurrent ``transform`` requests share one forward pass through the
-  PR-6 sparse/``no_grad`` eval path instead of paying per-request model
-  overhead.  Requests already queued are taken without suspending; the
-  worker only waits on the event loop when the queue runs empty inside
-  the window, so a full backlog costs one suspension per batch, not one
-  per request.
+* **Micro-batching** — the worker takes the first queued request, drains
+  every request already queued behind it (up to ``max_batch_size``)
+  without suspending, and dispatches at once, so concurrent ``transform``
+  requests share one forward pass through the sparse/``no_grad`` eval
+  path instead of paying per-request model overhead.  An idle worker
+  answers a lone request immediately; the next batch forms from whatever
+  arrived during compute, and a backlog still fills batches to
+  ``max_batch_size`` at one suspension per batch.  Only when
+  ``max_wait_ms > 0`` and the queue runs empty does the worker wait on
+  the event loop, up to that window, for more requests.
 * **Admission control** — a bounded queue with a shed watermark: when the
   backlog crosses ``shed_watermark × queue_capacity`` (or the hard
   capacity), new requests are *shed* immediately with a well-formed
@@ -370,12 +372,13 @@ class InferenceService:
             batch = [item]
             coalesce_until = self._clock() + self.config.max_wait_ms / 1000.0
             while len(batch) < self.config.max_batch_size:
-                remaining = coalesce_until - self._clock()
-                if remaining <= 0:
-                    break
-                # A queued request is taken without suspending; only an
-                # empty queue is worth a wait_for (a Task and a timer).
+                # Everything already queued joins without suspending; the
+                # window only decides whether an empty queue is worth a
+                # wait_for (a Task and a timer) before dispatching.
                 if self._queue.empty():
+                    remaining = coalesce_until - self._clock()
+                    if remaining <= 0:
+                        break
                     try:
                         extra = await asyncio.wait_for(self._queue.get(), remaining)
                     except asyncio.TimeoutError:

@@ -406,6 +406,11 @@ class Trainer:
             start_epoch = restore_training_state(
                 model, spec.resume_from, optimizer, batch_rng
             )
+        else:
+            # A fresh run stands alone, as its fresh Adam and batch RNG
+            # do: a refit neither appends to the last run's epochs nor
+            # hands them to a checkpoint callback's best value.
+            model.history = []
         state = TrainState(
             optimizer=optimizer,
             batch_rng=batch_rng,

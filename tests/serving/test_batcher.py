@@ -1,8 +1,11 @@
 """The batching worker: how requests coalesce, deterministically.
 
-The worker takes a queued request without suspending and waits on the
-event loop (``asyncio.wait_for``) only when the queue is empty inside the
-``max_wait_ms`` window.  These tests pin that, the window itself (under an
+The worker takes the first request, drains every request already queued
+behind it (up to ``max_batch_size``) without suspending, and dispatches.
+It waits on the event loop (``asyncio.wait_for``) only when the queue is
+empty and ``max_wait_ms > 0``; at the default window of 0 an idle worker
+answers a lone request at once.  These tests pin that, a backlog served
+in full batches with and without a window, the window itself (under an
 injected clock, with no real timer involved), the per-batch compute time
 apart from queue wait, a ``stop()`` landing mid-drain, and the
 constant-memory latency record.
@@ -11,6 +14,7 @@ constant-memory latency record.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import math
 
 import numpy as np
@@ -30,13 +34,17 @@ def batch_sizes(responses):
 
 
 class TestQueuedRequestsDrainWithoutWaiting:
+    @pytest.mark.parametrize("window", ["1ms", "none", "default"])
     @pytest.mark.parametrize("n", [8, 24, 19])
     def test_backlog_is_served_in_full_batches(
-        self, registry, tiny_corpus, fast_serving_config, monkeypatch, n
+        self, registry, tiny_corpus, fast_serving_config, monkeypatch, n, window
     ):
-        service = InferenceService(
-            registry, tiny_corpus.vocabulary, config=fast_serving_config
-        )
+        config = {
+            "1ms": fast_serving_config,
+            "none": dataclasses.replace(fast_serving_config, max_wait_ms=0.0),
+            "default": ServingConfig(),
+        }[window]
+        service = InferenceService(registry, tiny_corpus.vocabulary, config=config)
         real_wait_for = asyncio.wait_for
         depths_at_wait = []
 
@@ -58,13 +66,13 @@ class TestQueuedRequestsDrainWithoutWaiting:
                 await service.stop()
 
         responses = asyncio.run(main())
-        limit = fast_serving_config.max_batch_size
+        limit = config.max_batch_size
         full, rest = divmod(n, limit)
         assert all(r.ok for r in responses)
         assert service.counts["batches"] == math.ceil(n / limit)
         assert batch_sizes(responses) == [limit] * (full * limit) + [rest] * rest
         assert depths_at_wait == [0] * len(depths_at_wait)
-        if rest == 0:
+        if rest == 0 or config.max_wait_ms == 0:
             assert depths_at_wait == []
 
 
@@ -76,6 +84,39 @@ class VirtualClock:
 
     def __call__(self) -> float:
         return self.now
+
+
+class TestIdleWorkerAnswersAtOnce:
+    def test_default_config_answers_a_lone_request_without_waiting(
+        self, registry, tiny_corpus, monkeypatch
+    ):
+        clock = VirtualClock()
+        service = InferenceService(
+            registry, tiny_corpus.vocabulary, config=ServingConfig(), clock=clock
+        )
+        waits = []
+
+        async def virtual_wait_for(aw, timeout):
+            # A window would pass here, in virtual time, with no arrival.
+            waits.append(timeout)
+            clock.now += timeout
+            aw.close()
+            raise asyncio.TimeoutError
+
+        monkeypatch.setattr(service_module.asyncio, "wait_for", virtual_wait_for)
+
+        async def main():
+            await service.start()
+            try:
+                return await service.submit(TRANSFORM, document(tiny_corpus))
+            finally:
+                await service.stop()
+
+        response = asyncio.run(main())
+        assert response.ok
+        assert response.batch_size == 1
+        assert response.latency_ms == 0.0
+        assert waits == []
 
 
 class TestWindowUnderAnInjectedClock:

@@ -9,6 +9,7 @@ from repro.core import ContraTopic, ContraTopicConfig, npmi_kernel
 from repro.errors import ConfigError
 from repro.models import ETM, ProdLDA
 from repro.tensor.dtypes import default_dtype, get_default_dtype
+from repro.training.callbacks import Callback
 from repro.training.faults import FaultPlan
 from repro.training.resilience import GuardPolicy
 from repro.training.trainer import (
@@ -94,6 +95,26 @@ class TestCheckpointResumeThroughTrainer:
         )
         assert len(resumed.history) == fast_config.epochs
         _assert_bitwise_equal(full, resumed)
+
+
+class TestRefit:
+    def test_a_second_fit_starts_its_history_afresh(
+        self, tiny_corpus, fast_config
+    ):
+        model = ProdLDA(
+            tiny_corpus.vocab_size, dataclasses.replace(fast_config, epochs=2)
+        )
+        model.fit(tiny_corpus)
+        seen_at_start = []
+
+        class Probe(Callback):
+            def on_fit_start(self, model):
+                seen_at_start.append(len(model.history))
+
+        model.fit(tiny_corpus, callbacks=[Probe()])
+        # Callbacks (a CheckpointCallback's best value) see no earlier run.
+        assert seen_at_start == [0]
+        assert [e["epoch"] for e in model.history] == [0.0, 1.0]
 
 
 class TestGuardThroughTrainer:
