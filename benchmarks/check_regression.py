@@ -1,4 +1,4 @@
-"""CI perf-guard: compare a smoke-run BENCH report against the baseline.
+"""CI perf-guard: compare a benchmark run against its checked-in baseline.
 
 Usage (from the repository root, after a smoke benchmark run emitted
 ``BENCH_computational_analysis.json`` into the current directory)::
@@ -27,12 +27,21 @@ suite, e.g.::
         --baseline benchmarks/baselines/BENCH_ops.json \
         --current BENCH_ops.json
 
-    REPRO_BENCH_FAST=1 REPRO_WORKERS=2 \
-        REPRO_BENCH_TELEMETRY_DIR=parallel-telemetry \
-        python -m pytest benchmarks/bench_parallel_multiseed.py -q
+It also reads perfbench's ``results.json``, told apart by its shape (a
+``workloads`` key where a report has ``schema``).  Each workload's
+end-to-end metrics, and the :data:`EXTRA_GATES` values it reports,
+become totals named ``<workload>/<metric>``, gated in the direction
+``BENCHMARK.json`` (or :data:`EXTRA_GATES`) gives.  Two results files
+must share their ``--seconds`` and ``--trace`` and, for every workload
+both ran, the number of operations attempted, which is how a ``--quick``
+run shows (``stream-drift`` runs 4 slices instead of 160; ``seeds-20ng``
+attempts 12 seed runs at every size).  CI's ``perfbench-gate`` job::
+
+    python3 perfbench/run.py --workload seeds-20ng --workload stream-drift \
+        --no-cache --out /tmp/pb
     python benchmarks/check_regression.py --threshold 2.5 \
-        --baseline benchmarks/baselines/BENCH_suite.json \
-        --current parallel-telemetry/BENCH_suite.json
+        --baseline benchmarks/baselines/perfbench_gate.json \
+        --current /tmp/pb/results.json
 
 Refreshing a baseline after an intentional perf change::
 
@@ -49,6 +58,7 @@ handy for local before/after runs::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -59,9 +69,75 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.experiments.suites import declared_totals  # noqa: E402
 from repro.io import atomic_write  # noqa: E402
 from repro.telemetry import compare_reports, load_report, summarize_report  # noqa: E402
+from repro.telemetry.report import HIGHER, Total  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "BENCH_computational_analysis.json"
 DEFAULT_CURRENT = Path("BENCH_computational_analysis.json")
+BENCHMARK_SPEC = REPO_ROOT / "BENCHMARK.json"
+
+#: perfbench ``extra`` values gated beside the end-to-end metrics, with
+#: their directions (``BENCHMARK.json`` declares none for them).
+EXTRA_GATES = {"seeds-20ng/fanout_speedup": HIGHER}
+
+
+def perfbench_gates() -> tuple[Total, ...]:
+    """Every workload's end-to-end metrics in ``BENCHMARK.json``'s
+    directions, plus :data:`EXTRA_GATES`, as ``<workload>/<metric>``."""
+    spec = json.loads(BENCHMARK_SPEC.read_text(encoding="utf-8"))
+    gates = {
+        f"{workload['name']}/{metric['name']}": metric["better"]
+        for workload in spec["workloads"]
+        for metric in spec["end_to_end"]
+    }
+    return tuple(
+        Total(name, better=better) for name, better in {**gates, **EXTRA_GATES}.items()
+    )
+
+
+def perfbench_report(results: dict) -> dict:
+    """A perfbench ``results.json`` as a report of ``<workload>/<name>`` totals.
+
+    Every metric and every ``extra`` value becomes a total; the gates
+    pick out the ones :func:`perfbench_gates` declares.  ``meta.size``
+    holds what a run's numbers scale with.
+    """
+    meta = results.get("meta", {})
+    totals, attempted = {}, {}
+    for workload, result in results["workloads"].items():
+        values = {name: metric["value"] for name, metric in result["metrics"].items()}
+        for name, value in {**values, **result.get("extra", {})}.items():
+            totals[f"{workload}/{name}"] = value
+        attempted[workload] = result["attempted"]
+    size = {"seconds": meta.get("seconds"), "trace": meta.get("trace"), "attempted": attempted}
+    return {
+        "name": "perfbench",
+        "meta": {**meta, "size": size},
+        "totals": totals,
+        "ops": [],
+        "epochs": [],
+    }
+
+
+def load(path: Path) -> dict:
+    """A ``BENCH_*.json`` report, or a perfbench ``results.json`` as one."""
+    with path.open("r", encoding="utf-8") as fp:
+        data = json.load(fp)
+    if "workloads" in data and "schema" not in data:
+        return perfbench_report(data)
+    return load_report(path)
+
+
+def scale(report: dict, workloads: set[str]) -> str:
+    """What a report's numbers scale with; comparable runs share it.
+
+    A perfbench run's size counts only the ``workloads`` both runs ran.
+    """
+    meta = report.get("meta", {})
+    if "size" not in meta:
+        return f"meta.fast={meta.get('fast')}"
+    size = meta["size"]
+    attempted = {w: n for w, n in sorted(size["attempted"].items()) if w in workloads}
+    return f"seconds={size['seconds']} trace={size['trace']} attempted={attempted}"
 
 
 def compare_mode(path_a: Path, path_b: Path) -> int:
@@ -76,9 +152,9 @@ def compare_mode(path_a: Path, path_b: Path) -> int:
             print(f"error: report {path} does not exist", file=sys.stderr)
             return 2
     try:
-        report_a = load_report(path_a)
-        report_b = load_report(path_b)
-    except ValueError as error:
+        report_a = load(path_a)
+        report_b = load(path_b)
+    except (ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -163,22 +239,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        baseline = load_report(args.baseline)
-        current = load_report(args.current)
-    except ValueError as error:
+        baseline = load(args.baseline)
+        current = load(args.current)
+    except (ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    fast = [report.get("meta", {}).get("fast") for report in (baseline, current)]
-    if fast[0] != fast[1]:
+    sizes = [report.get("meta", {}).get("size", {}) for report in (baseline, current)]
+    workloads = set(sizes[0].get("attempted", {})) & set(sizes[1].get("attempted", {}))
+    scales = [scale(report, workloads) for report in (baseline, current)]
+    if scales[0] != scales[1]:
         print(
-            f"error: baseline meta.fast={fast[0]} but current meta.fast={fast[1]}; "
+            f"error: baseline {scales[0]} but current {scales[1]}; "
             "compare runs of the same scale",
             file=sys.stderr,
         )
         return 2
 
-    declared = declared_totals()
+    declared = perfbench_gates() if sizes[0] else declared_totals()
     failures, table = compare_reports(
         baseline, current, declared, threshold=args.threshold
     )

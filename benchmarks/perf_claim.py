@@ -17,7 +17,9 @@ verdict :func:`perfbench.stats.classify` gives — the same numbers
 and each run's ``meta`` (CPU count, BLAS and its thread count, dtype,
 host speed), so the claim records the hardware it was measured on.
 ``--claim`` names the metric the change claims to improve; the script
-exits 1 when that metric's verdict is not ``better``.
+exits 1 when that metric's verdict is not ``better``, and 2, before it
+reads any run, when ``--claim`` is not a ``WORKLOAD:METRIC`` pair of
+``BENCHMARK.json``'s workloads and end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -125,6 +127,15 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     args = parser.parse_args(argv)
     spec = json.loads(SPEC_PATH.read_text())
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in {w["name"] for w in spec["workloads"]} or metric not in {
+            m["name"] for m in spec["end_to_end"]
+        }:
+            parser.error(
+                f"--claim {args.claim!r} is not WORKLOAD:METRIC with a workload "
+                "and an end-to-end metric of BENCHMARK.json"
+            )
     document = build_claim(args.parent, args.change, spec, args.claim)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

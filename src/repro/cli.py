@@ -27,12 +27,13 @@ Commands
               ``--no-profile-ops`` — per-epoch throughput,
               ELBO-vs-contrastive loss split).  ``--suite <name>`` runs
               one benchmark suite of :mod:`repro.experiments.suites`
-              instead (``ops``, ``sparse``, ``multiseed``, ``streaming``,
-              ``regularizers``): the same function the pytest benches
-              run, with its correctness checks, writing a report for
-              the CI perf-guard.  The ``--inject-*`` flags drive the
-              deterministic fault harness so recovery paths can be
-              smoke-tested in CI.
+              instead (``ops``, ``sparse``, ``regularizers``): the same
+              function the pytest benches run, with its correctness
+              checks, writing a report for the CI perf-guard.  The
+              multi-seed protocol and the streaming engine are measured
+              by perfbench (``seeds-20ng``, ``stream-drift``).  The
+              ``--inject-*`` flags drive the deterministic fault harness
+              so recovery paths can be smoke-tested in CI.
 
 Every command accepts ``--dtype {float32,float64}`` to pick the training
 precision (equivalent to the ``REPRO_DTYPE`` environment variable).
@@ -53,10 +54,8 @@ Examples
         --dtype float32 --telemetry out.json
     python -m repro bench --suite ops --telemetry BENCH_ops.json
     python -m repro bench --suite sparse --telemetry BENCH_sparse.json
-    python -m repro bench --suite multiseed --dataset 20ng --scale 0.1 \
-        --epochs 5 --num-seeds 5 --workers 4 --telemetry BENCH_suite.json
-    python -m repro bench --suite streaming --stream-slices 20 \
-        --stream-docs 250 --telemetry BENCH_streaming.json
+    python -m repro bench --suite regularizers --dataset 20ng --scale 0.1 \
+        --epochs 5 --num-seeds 2 --workers 2 --telemetry BENCH_regularizers.json
     python -m repro bench --dataset 20ng --model contratopic --epochs 3 \
         --guard --inject-nan 0.25 --inject-grad 0.1 --telemetry smoke.json
     python -m repro serve --dataset 20ng --scale 0.12 --epochs 3 \
@@ -470,16 +469,12 @@ def _run_suite(args: argparse.Namespace, out) -> int:
     suite = SUITES[args.suite]
     settings = SuiteSettings(
         experiment=_settings_from_args(args),
-        model=args.model,
         backbone=args.backbone,
         seed=args.seed,
         num_seeds=args.num_seeds,
         workers=args.workers,
         repeats=args.repeats,
         dtype=args.dtype,
-        profile_ops=args.profile_ops,
-        stream_slices=args.stream_slices,
-        stream_docs=args.stream_docs,
     )
     print(f"running bench suite {suite.name!r}...", file=out)
     try:
@@ -696,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'train': benchmark an end-to-end training run; "
         "'ops': microbenchmark every fused kernel on fixed shapes; "
         "'sparse': dense-vs-CSR fast-path hot-path comparison; "
-        "'multiseed': serial-vs-parallel §V.F multi-seed evaluation "
-        "with a metric-equality assertion; "
-        "'streaming': incremental NPMI engine vs per-slice full recount "
-        "on a synthetic drifting stream; "
         "'regularizers': objective-zoo leaderboard (ELBO control + every "
         "repro.objectives entry) on one backbone",
     )
@@ -713,27 +704,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="--suite multiseed/regularizers: worker processes of the "
-        "parallel seed fan-out (default: REPRO_WORKERS or the CPU count)",
-    )
-    bench.add_argument(
-        "--stream-slices",
-        type=int,
-        default=20,
-        help="--suite streaming: time slices in the drift profile "
-        "(default: 20)",
-    )
-    bench.add_argument(
-        "--stream-docs",
-        type=int,
-        default=250,
-        help="--suite streaming: documents per slice (default: 250)",
+        help="--suite regularizers: worker processes of the parallel "
+        "seed fan-out (default: REPRO_WORKERS or the CPU count)",
     )
     bench.add_argument(
         "--num-seeds",
         type=int,
         default=5,
-        help="--suite multiseed/regularizers: how many seeds to evaluate "
+        help="--suite regularizers: how many seeds to evaluate "
         "(default: 5)",
     )
     bench.add_argument(

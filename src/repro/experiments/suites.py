@@ -21,21 +21,15 @@ This module sits above ``training``, ``metrics`` and ``serving``, which
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.blas import blas_threads, one_blas_thread
-from repro.errors import ReproError, ShapeError
+from repro.errors import ReproError
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.reporting import format_table
-from repro.metrics.streaming import (
-    NPMI_CACHE_COUNTER_PREFIX,
-    STREAMING_COUNTER_PREFIX,
-)
 from repro.serving.loadgen import (
     SERVING_P50_KEY,
     SERVING_P95_KEY,
@@ -54,23 +48,14 @@ from repro.telemetry.microbench import (
     SPARSE_VOCAB,
 )
 from repro.telemetry.report import HIGHER, LOWER, Total
-from repro.tensor import default_dtype, get_default_dtype
+from repro.tensor import get_default_dtype
 
-#: Registry keys the suites below record under.
-MULTISEED_SERIAL_KEY = "multiseed/serial"
-MULTISEED_PARALLEL_KEY = "multiseed/parallel"
-STREAMING_UPDATE_KEY = "streaming/update"
-STREAMING_RECOUNT_KEY = "streaming/recount"
-STREAMING_DOCS_KEY = "streaming/docs"
+#: Registry key the regularizers suite records its wall time under.
 REGULARIZERS_WALL_KEY = "regularizers/wall"
 
 #: |dense loss − sparse loss| ceiling per dtype: the two legs reduce the
 #: same terms in different orders, so the gap is pure float associativity.
 LOSS_GAP_CEILING = {"float32": 1e-2, "float64": 1e-6}
-
-#: Incremental NPMI vs a cold build.  The two share one derivation
-#: kernel, so the observed difference is exactly 0.0.
-NPMI_TOL = 1e-12
 
 
 class SuiteCheckError(ReproError):
@@ -82,16 +67,12 @@ class SuiteSettings:
     """Every knob a suite reads; each suite reads only its own."""
 
     experiment: ExperimentSettings = field(default_factory=ExperimentSettings)
-    model: str = "contratopic"
     backbone: str = "etm"
     seed: int = 0
     num_seeds: int = 5
     workers: int | None = None
     repeats: int = 20
     dtype: str | None = None
-    profile_ops: bool = False
-    stream_slices: int = 20
-    stream_docs: int = 250
 
     def dtype_name(self) -> str:
         return self.dtype or str(get_default_dtype())
@@ -216,161 +197,6 @@ def run_sparse(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
 
 
 # ----------------------------------------------------------------------
-# multiseed: the §V.F evaluation serial vs process-parallel
-# ----------------------------------------------------------------------
-_RESULT_FIELDS = (
-    "coherence",
-    "diversity",
-    "km_purity",
-    "km_nmi",
-    "coherence_std",
-    "diversity_std",
-    "km_purity_std",
-)
-
-
-def _check_identical(serial, parallel) -> None:
-    """Serial and parallel results agree exactly; NaN equals NaN."""
-    _check(serial.seed_status == parallel.seed_status, "seed statuses differ")
-    _check(serial.diverged == parallel.diverged, "diverged seeds differ")
-    for name in _RESULT_FIELDS:
-        a, b = getattr(serial, name), getattr(parallel, name)
-        _check(a.keys() == b.keys(), f"{name} keys differ")
-        for key in a:
-            fa, fb = float(a[key]), float(b[key])
-            _check(
-                fa == fb or (fa != fa and fb != fb),
-                f"{name}[{key}] differs: serial {fa} vs parallel {fb}",
-            )
-
-
-def run_multiseed(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
-    """One multi-seed evaluation at ``workers=1`` and at ``workers=N``."""
-    from repro.parallel import resolve_workers
-    from repro.training.protocol import multi_seed_evaluation
-
-    workers = resolve_workers(settings.workers)
-    context = ExperimentContext(settings.experiment)
-    factory = context.factory(settings.model)
-    registry = MetricsRegistry()
-
-    def evaluate(n: int, seeds: tuple[int, ...]):
-        with default_dtype(settings.dtype):  # None keeps the current one
-            return multi_seed_evaluation(
-                factory,
-                context.dataset.train,
-                context.dataset.test,
-                context.npmi_test,
-                seeds=seeds,
-                model_name=settings.model,
-                cluster_counts=(20,),
-                workers=n,
-                registry=registry,
-                profile=settings.profile_ops,
-            )
-
-    # Warm the shared caches (corpus, NPMI, embeddings) outside the timed
-    # legs, so the serial leg does not pay one-time costs the parallel
-    # leg then inherits for free.
-    evaluate(1, (0,))
-    seeds = tuple(range(settings.num_seeds))
-    runs = {}
-    for key, n in ((MULTISEED_SERIAL_KEY, 1), (MULTISEED_PARALLEL_KEY, workers)):
-        start = time.perf_counter()
-        runs[key] = evaluate(n, seeds)
-        registry.record_seconds(key, time.perf_counter() - start, absolute=True)
-    serial, parallel = runs[MULTISEED_SERIAL_KEY], runs[MULTISEED_PARALLEL_KEY]
-    _check_identical(serial, parallel)
-    _check(
-        all(status == "ok" for status in serial.seed_status.values()),
-        f"failed or diverged seeds: {serial.seed_status}",
-    )
-    experiment = settings.experiment
-    meta = {
-        "dataset": experiment.dataset,
-        "model": settings.model,
-        "scale": experiment.scale,
-        "num_topics": experiment.num_topics,
-        "epochs": experiment.epochs,
-        "num_seeds": settings.num_seeds,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "dtype": settings.dtype_name(),
-        "profile_ops": settings.profile_ops,
-        "metrics": parallel.summary(),
-    }
-    return registry, meta
-
-
-# ----------------------------------------------------------------------
-# streaming: the incremental NPMI engine vs a per-slice recount
-# ----------------------------------------------------------------------
-def run_streaming(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
-    """A drifting stream through the incremental engine and a recount."""
-    from repro.extensions.online import DriftingStreamConfig, generate_drifting_stream
-    from repro.metrics.cooccurrence import DocumentCooccurrence
-    from repro.metrics.npmi import compute_npmi_matrix
-    from repro.metrics.streaming import (
-        StreamingNpmiEngine,
-        record_streaming_stats,
-        reset_streaming_stats,
-    )
-
-    slices, _, _ = generate_drifting_stream(
-        DriftingStreamConfig(
-            emerge_at=max(1, settings.stream_slices // 2),
-            num_slices=settings.stream_slices,
-            docs_per_slice=settings.stream_docs,
-            average_length=40.0,
-            seed=settings.seed,
-        )
-    )
-    vocab_size = slices[0].vocab_size
-    registry = MetricsRegistry()
-    reset_streaming_stats()
-    # Warm each slice's binary-incidence cache outside the timed legs:
-    # the recount leg replays cached slices, so without this the
-    # incremental leg, which runs first, would pay every conversion.
-    for slice_corpus in slices:
-        slice_corpus.binary_doc_word()
-
-    engine = StreamingNpmiEngine(vocab_size)
-    for slice_corpus in slices:
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update(slice_corpus)
-
-    # Per slice, recount every document seen so far and derive NPMI cold.
-    for upto in range(1, len(slices) + 1):
-        with registry.timer(STREAMING_RECOUNT_KEY):
-            recount = DocumentCooccurrence.empty(vocab_size)
-            for past in slices[:upto]:
-                recount.update(past)
-            cold = compute_npmi_matrix(recount)
-
-    try:
-        engine.check_against(recount)
-    except ShapeError as error:
-        raise SuiteCheckError(str(error)) from error
-    npmi_gap = float(np.max(np.abs(engine.npmi.matrix - cold.matrix)))
-    _check(
-        npmi_gap <= NPMI_TOL,
-        f"incremental NPMI diverged from cold build by {npmi_gap:.3e}",
-    )
-    total_docs = sum(len(s) for s in slices)
-    registry.counter(STREAMING_DOCS_KEY, absolute=True).value = float(total_docs)
-    record_streaming_stats(registry)
-    meta = {
-        "num_slices": settings.stream_slices,
-        "docs_per_slice": settings.stream_docs,
-        "vocab_size": vocab_size,
-        "total_docs": total_docs,
-        "seed": settings.seed,
-        "npmi_gap": npmi_gap,
-    }
-    return registry, meta
-
-
-# ----------------------------------------------------------------------
 # regularizers: the objective-zoo leaderboard on one backbone
 # ----------------------------------------------------------------------
 def run_regularizers(settings: SuiteSettings) -> tuple[MetricsRegistry, dict]:
@@ -454,29 +280,6 @@ SUITES: dict[str, Suite] = {
             Total("sparse_speedup", SPARSE_DENSE_KEY, SPARSE_SPARSE_KEY, better=HIGHER),
             Total("sparse_docs_per_sec", SPARSE_DOCS_KEY, SPARSE_SPARSE_KEY, better=HIGHER),
             Total("sparse_dense_docs_per_sec", SPARSE_DOCS_KEY, SPARSE_DENSE_KEY),
-        )),
-        Suite("multiseed", run_multiseed, (
-            Total("multiseed_serial_seconds", MULTISEED_SERIAL_KEY, better=LOWER),
-            Total("multiseed_parallel_seconds", MULTISEED_PARALLEL_KEY, better=LOWER),
-            Total(
-                "multiseed_speedup", MULTISEED_SERIAL_KEY, MULTISEED_PARALLEL_KEY, better=HIGHER
-            ),
-            *OP_TOTALS,
-        )),
-        Suite("streaming", run_streaming, (
-            Total("streaming_update_seconds", STREAMING_UPDATE_KEY, better=LOWER),
-            Total("streaming_recount_seconds", STREAMING_RECOUNT_KEY),
-            Total(
-                "streaming_speedup", STREAMING_RECOUNT_KEY, STREAMING_UPDATE_KEY, better=HIGHER
-            ),
-            Total(
-                "streaming_docs_per_sec", STREAMING_DOCS_KEY, STREAMING_UPDATE_KEY, better=HIGHER
-            ),
-            Total(
-                "streaming_buffer_reuses", STREAMING_COUNTER_PREFIX + "buffer_reuses", better=HIGHER
-            ),
-            Total("streaming_*", STREAMING_COUNTER_PREFIX),
-            Total("npmi_cache_*", NPMI_CACHE_COUNTER_PREFIX),
         )),
         Suite(
             "regularizers",

@@ -7,12 +7,7 @@ similarity kernel K(·).
 
 from repro.metrics.cooccurrence import DocumentCooccurrence
 from repro.metrics.npmi import NpmiMatrix, NpmiWorkspace, compute_npmi_matrix
-from repro.metrics.streaming import (
-    StreamingNpmiEngine,
-    record_streaming_stats,
-    reset_streaming_stats,
-    streaming_update_stats,
-)
+from repro.metrics.streaming import StreamingNpmiEngine
 from repro.metrics.coherence import (
     topic_coherence,
     topic_npmi_scores,
@@ -37,9 +32,6 @@ __all__ = [
     "NpmiWorkspace",
     "compute_npmi_matrix",
     "StreamingNpmiEngine",
-    "record_streaming_stats",
-    "reset_streaming_stats",
-    "streaming_update_stats",
     "topic_coherence",
     "topic_npmi_scores",
     "coherence_by_percentage",

@@ -25,13 +25,7 @@ exact instead:
   cold :func:`~repro.metrics.npmi.compute_npmi_matrix` to the last bit
   (same derivation kernel).
 
-Module-level counters aggregate every engine's activity per process;
-:func:`record_streaming_stats` publishes them (plus the co-occurrence
-cache's hit/miss counters) into a
-:class:`~repro.telemetry.MetricsRegistry` under
-:data:`STREAMING_COUNTER_PREFIX` / :data:`NPMI_CACHE_COUNTER_PREFIX`; the
-streaming suite (:mod:`repro.experiments.suites`) declares both counter
-families as ``streaming_*`` / ``npmi_cache_*`` report totals.
+Each engine counts its own activity in :attr:`StreamingNpmiEngine.stats`.
 """
 
 from __future__ import annotations
@@ -39,45 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.metrics.cooccurrence import (
-    DocumentCooccurrence,
-    cooccurrence_cache_stats,
-)
+from repro.metrics.cooccurrence import DocumentCooccurrence
 from repro.metrics.npmi import NpmiMatrix, NpmiWorkspace
-
-#: Registry prefixes :func:`record_streaming_stats` publishes under.
-STREAMING_COUNTER_PREFIX = "streaming/"
-NPMI_CACHE_COUNTER_PREFIX = "npmi_cache/"
-
-_STREAM_STATS = {
-    "updates": 0,
-    "documents": 0,
-    "delta_nnz": 0,
-    "buffer_reuses": 0,
-}
-
-
-def streaming_update_stats() -> dict[str, int]:
-    """Process-wide streaming counters (all engines, since last reset)."""
-    return dict(_STREAM_STATS)
-
-
-def reset_streaming_stats() -> None:
-    """Zero the process-wide streaming counters (tests use this)."""
-    for key in _STREAM_STATS:
-        _STREAM_STATS[key] = 0
-
-
-def record_streaming_stats(registry) -> None:
-    """Publish streaming + NPMI-cache counters into ``registry``.
-
-    Keys are absolute (``streaming/updates``, ``npmi_cache/hits``, ...)
-    so callers inside nested timer scopes record the same names.
-    """
-    for name, value in _STREAM_STATS.items():
-        registry.counter(STREAMING_COUNTER_PREFIX + name, absolute=True).add(value)
-    for name, value in cooccurrence_cache_stats().items():
-        registry.counter(NPMI_CACHE_COUNTER_PREFIX + name, absolute=True).add(value)
 
 
 class StreamingNpmiEngine:
@@ -148,10 +105,6 @@ class StreamingNpmiEngine:
         self.stats["documents"] += added
         self.stats["delta_nnz"] += delta_nnz
         self.stats["buffer_reuses"] += int(reused)
-        _STREAM_STATS["updates"] += 1
-        _STREAM_STATS["documents"] += added
-        _STREAM_STATS["delta_nnz"] += delta_nnz
-        _STREAM_STATS["buffer_reuses"] += int(reused)
         return self.npmi
 
     def check_against(self, full: DocumentCooccurrence) -> None:

@@ -20,10 +20,9 @@ guarantees the serial loops already had:
   :meth:`ParallelMap.map` raise (via callers checking
   :func:`require_any_success`).
 * **Telemetry** — each task runs under its own
-  :class:`~repro.telemetry.MetricsRegistry` (optionally with
-  :func:`~repro.telemetry.profile_ops` active) whose snapshot ships back
+  :class:`~repro.telemetry.MetricsRegistry` whose snapshot ships back
   with the result; the parent merges the snapshots idempotently, so the
-  op/stage tables of ``BENCH_*.json`` stay populated under parallelism.
+  stage tables of ``BENCH_*.json`` stay populated under parallelism.
 
 Worker-count resolution order: explicit argument > ``REPRO_WORKERS``
 environment variable > ``os.cpu_count()``.
@@ -46,7 +45,6 @@ fallback under the ``parallel/serial_fallback`` counter.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import time
@@ -73,7 +71,7 @@ TASK_TIMER_KEY = "parallel/task"
 # Fan-outs in flight, keyed by a per-map token.  Populated *before* the
 # pool forks so children inherit the (unpicklable) task callables through
 # copy-on-write memory; only ``(token, index)`` is ever pickled.
-_TASK_GROUPS: dict[str, tuple[Callable[[Any], Any], list, bool]] = {}
+_TASK_GROUPS: dict[str, tuple[Callable[[Any], Any], list]] = {}
 
 
 def available_cpus() -> int:
@@ -158,9 +156,7 @@ class TaskResult:
         return self.value
 
 
-def _execute(
-    fn: Callable[[Any], Any], item: Any, index: int, profile: bool
-) -> TaskResult:
+def _execute(fn: Callable[[Any], Any], item: Any, index: int) -> TaskResult:
     """Run one task under fault isolation, a task-local registry and one
     BLAS thread.
 
@@ -168,13 +164,10 @@ def _execute(
     worker call it — so failure semantics and telemetry shape cannot
     drift between worker counts.
     """
-    from repro.telemetry.ophooks import profile_ops
-
     registry = MetricsRegistry()
-    profiler = profile_ops(registry) if profile else contextlib.nullcontext()
     start = time.perf_counter()
     try:
-        with one_blas_thread(), profiler, registry.timer(TASK_TIMER_KEY):
+        with one_blas_thread(), registry.timer(TASK_TIMER_KEY):
             value = fn(item)
         return TaskResult(
             index=index,
@@ -197,8 +190,8 @@ def _execute(
 
 def _execute_grouped(token: str, index: int) -> TaskResult:
     """Pool-worker entry point: look the task up in the forked registry."""
-    fn, items, profile = _TASK_GROUPS[token]
-    return _execute(fn, items[index], index, profile)
+    fn, items = _TASK_GROUPS[token]
+    return _execute(fn, items[index], index)
 
 
 class ParallelMap:
@@ -214,20 +207,13 @@ class ParallelMap:
         Parent :class:`~repro.telemetry.MetricsRegistry` the per-task
         snapshots are merged into (idempotently), plus fan-out counters
         (``parallel/tasks``, ``parallel/failures``, ...).  Optional.
-    profile:
-        Run every task under :func:`~repro.telemetry.profile_ops` so the
-        merged registry carries per-op rows from the workers.
     """
 
     def __init__(
-        self,
-        workers: int | None = None,
-        registry: MetricsRegistry | None = None,
-        profile: bool = False,
+        self, workers: int | None = None, registry: MetricsRegistry | None = None
     ):
         self.workers = resolve_workers(workers)
         self.registry = registry
-        self.profile = profile
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], T], items: Sequence[Any]) -> list[TaskResult]:
@@ -247,9 +233,7 @@ class ParallelMap:
                 self.registry.count("parallel/serial_fallback", absolute=True)
         start = time.perf_counter()
         if serial:
-            results = [
-                _execute(fn, item, i, self.profile) for i, item in enumerate(items)
-            ]
+            results = [_execute(fn, item, i) for i, item in enumerate(items)]
         else:
             results = self._map_processes(fn, items)
         self._record(results, time.perf_counter() - start)
@@ -260,7 +244,7 @@ class ParallelMap:
         self, fn: Callable[[Any], Any], items: list
     ) -> list[TaskResult]:
         token = uuid.uuid4().hex
-        _TASK_GROUPS[token] = (fn, items, self.profile)
+        _TASK_GROUPS[token] = (fn, items)
         context = multiprocessing.get_context("fork")
         try:
             with ProcessPoolExecutor(
@@ -312,12 +296,9 @@ def parallel_map(
     items: Sequence[Any],
     workers: int | None = None,
     registry: MetricsRegistry | None = None,
-    profile: bool = False,
 ) -> list[TaskResult]:
     """Functional shorthand for ``ParallelMap(...).map(fn, items)``."""
-    return ParallelMap(workers=workers, registry=registry, profile=profile).map(
-        fn, items
-    )
+    return ParallelMap(workers=workers, registry=registry).map(fn, items)
 
 
 def require_any_success(results: Sequence[TaskResult], what: str) -> list[TaskResult]:

@@ -191,7 +191,6 @@ def multi_seed_evaluation(
     cluster_counts: Sequence[int] = CLUSTER_COUNTS,
     workers: int | None = 1,
     registry=None,
-    profile: bool = False,
     run_spec: RunSpec | None = None,
 ) -> EvaluationResult:
     """§V.F protocol: average the evaluation over several random seeds.
@@ -213,8 +212,8 @@ def multi_seed_evaluation(
     recorded as ``"failed: <ExcType>"`` in ``seed_status`` and excluded
     exactly like a diverged seed, instead of aborting the other seeds'
     runs; only when no seed produced a result at all does this raise
-    :class:`~repro.errors.ParallelExecutionError`.  ``registry`` /
-    ``profile`` forward to :class:`~repro.parallel.ParallelMap` so worker
+    :class:`~repro.errors.ParallelExecutionError`.  ``registry``
+    forwards to :class:`~repro.parallel.ParallelMap` so worker
     telemetry is merged back for ``BENCH_*.json`` reports.  ``run_spec``
     (a plain-data :class:`~repro.training.trainer.RunSpec`, picklable for
     the fan-out) applies the same declarative training configuration to
@@ -234,7 +233,7 @@ def multi_seed_evaluation(
             run_spec=run_spec,
         )
 
-    outcomes = ParallelMap(workers=workers, registry=registry, profile=profile).map(
+    outcomes = ParallelMap(workers=workers, registry=registry).map(
         run_one_seed, list(seeds)
     )
     completed: list[tuple[int, EvaluationResult]] = []

@@ -1,11 +1,10 @@
 """The benchmark-suite registry: declared totals, the gate set, checks."""
 
-import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
+from benchmarks import check_regression
 from repro.blas import blas_threads, set_blas_threads
 from repro.experiments import suites
 from repro.experiments.suites import (
@@ -29,14 +28,11 @@ GATED = {
             "op_backward_seconds",
             "epoch_seconds",
             "epoch_seconds_mean",
-            "multiseed_serial_seconds",
-            "multiseed_parallel_seconds",
             "sparse_sparse_seconds",
             "serving_wall_seconds",
             "serving_p50_seconds",
             "serving_p95_seconds",
             "serving_p99_seconds",
-            "streaming_update_seconds",
             "regularizers_wall_seconds",
         ),
         LOWER,
@@ -44,13 +40,9 @@ GATED = {
     **dict.fromkeys(
         (
             "docs_per_sec",
-            "multiseed_speedup",
             "sparse_speedup",
             "sparse_docs_per_sec",
             "serving_requests_per_sec",
-            "streaming_speedup",
-            "streaming_docs_per_sec",
-            "streaming_buffer_reuses",
         ),
         HIGHER,
     ),
@@ -60,11 +52,26 @@ GATED = {
 def test_the_guard_gates_the_same_totals_in_the_same_directions():
     gates = {t.name: t.better for t in declared_totals() if t.better}
     assert gates == GATED
-    assert len(GATED) == 21
+    assert len(GATED) == 14
 
 
 def test_every_baseline_is_checked():
-    assert len(BASELINES) == 8
+    assert len(BASELINES) == 6
+
+
+def test_the_perfbench_gate_keeps_the_retired_suites_gates():
+    """The multi-seed and streaming gates live on in the perfbench leg."""
+    path = REPO / "benchmarks" / "baselines" / "perfbench_gate.json"
+    baseline = check_regression.load(path)
+    gates = {t.name: t.better for t in check_regression.perfbench_gates() if t.better}
+    for name in (
+        "seeds-20ng/work_per_s",
+        "seeds-20ng/fanout_speedup",
+        "stream-drift/work_per_s",
+    ):
+        assert gates[name] == HIGHER
+        assert baseline["totals"][name] > 0
+    assert baseline["meta"]["size"]["attempted"]["stream-drift"] > 4  # not --quick
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda path: path.name)
@@ -135,33 +142,10 @@ class TestRollUp:
 
 
 class TestChecks:
-    def test_multiseed_counts_nan_equal_to_nan(self):
-        def result(coherence):
-            return SimpleNamespace(
-                seed_status={0: "ok"},
-                diverged=[],
-                coherence={0.1: coherence},
-                **{
-                    name: {}
-                    for name in suites._RESULT_FIELDS
-                    if name != "coherence"
-                },
-            )
-
-        suites._check_identical(result(math.nan), result(math.nan))
-        suites._check_identical(result(0.25), result(0.25))
-        with pytest.raises(SuiteCheckError, match="coherence"):
-            suites._check_identical(result(0.25), result(0.5))
-
     def test_sparse_loss_gap_ceiling(self, monkeypatch):
         monkeypatch.setitem(suites.LOSS_GAP_CEILING, "float32", -1.0)
         with pytest.raises(SuiteCheckError, match="loss gap"):
             SUITES["sparse"].run(SuiteSettings(repeats=1, dtype="float32"))
-
-    def test_streaming_npmi_tolerance(self, monkeypatch):
-        monkeypatch.setattr(suites, "NPMI_TOL", -1.0)
-        with pytest.raises(SuiteCheckError, match="NPMI"):
-            SUITES["streaming"].run(SuiteSettings(stream_slices=2, stream_docs=20))
 
     def test_ops_requires_repeats_calls_per_kernel(self, monkeypatch):
         from repro.telemetry import microbench

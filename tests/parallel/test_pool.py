@@ -212,21 +212,6 @@ class TestTelemetry:
         pm.map(_square, [3, 4])
         assert registry.counters["parallel/workers"].value == 2
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_profile_ships_op_rows(self, workers):
-        from repro.tensor import Tensor, fused
-
-        def tensor_task(i):
-            x = Tensor(np.full((4, 4), float(i)), requires_grad=True)
-            fused.softmax(x).sum().backward()
-            return i
-
-        registry = MetricsRegistry()
-        ParallelMap(workers=workers, registry=registry, profile=True).map(
-            tensor_task, [1, 2]
-        )
-        assert registry.counters["op/softmax.calls"].value == 2
-
     def test_no_registry_is_fine(self):
         assert parallel_map(_square, [2], workers=1)[0].value == 4
 

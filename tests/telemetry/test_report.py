@@ -18,7 +18,8 @@ from repro.telemetry import (
     load_report,
     write_report,
 )
-from repro.experiments.suites import SUITES, declared_totals
+from benchmarks import check_regression
+from repro.experiments.suites import declared_totals
 from repro.telemetry.report import HIGHER, LOWER, _epoch_totals, epoch_row
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -336,77 +337,126 @@ class TestCheckRegressionScript:
         result = self._run("--compare", str(base_path), str(tmp_path / "nope.json"))
         assert result.returncode == 2
 
+    # perfbench results.json files, told apart from reports by their shape
+    @staticmethod
+    def _results(stream_slices: int = 160) -> dict:
+        """A full-size perfbench run of the two gated workloads."""
+        metrics = {
+            "setup_s": 0.5,
+            "work_per_s": 1000.0,
+            "p50_ms": 50.0,
+            "p99_ms": 60.0,
+            "peak_rss_mb": 150.0,
+            "topic_npmi": 0.4,
+            "topic_diversity": 0.6,
+        }
 
-STREAMING = SUITES["streaming"]
+        def workload(attempted, extra):
+            return {
+                "correct": True,
+                "attempted": attempted,
+                "failed": 0,
+                "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()},
+                "extra": {"cpu_speed": 0.6, **extra},
+            }
+
+        return {
+            "meta": {"nproc": 2, "seconds": 10, "trace": 0},
+            "workloads": {
+                "seeds-20ng": workload(12, {"fanout_speedup": 1.8}),
+                "stream-drift": workload(stream_slices, {}),
+            },
+        }
+
+    def _gate(self, tmp_path, current):
+        paths = []
+        for name, results in (("baseline", self._results()), ("current", current)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(results))
+            paths.append(str(path))
+        return self._run(
+            "--threshold", "2.5", "--baseline", paths[0], "--current", paths[1]
+        )
+
+    def test_perfbench_within_the_threshold_passes(self, tmp_path):
+        current = self._results()
+        current["workloads"]["seeds-20ng"]["metrics"]["work_per_s"]["value"] = 500.0
+        current["workloads"]["stream-drift"]["metrics"]["p99_ms"]["value"] = 120.0
+        result = self._gate(tmp_path, current)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "seeds-20ng/fanout_speedup" in result.stdout
+        assert "perf-guard OK" in result.stdout
+
+    @pytest.mark.parametrize(
+        "workload, metric, factor",
+        [
+            ("seeds-20ng", "work_per_s", 1 / 3),
+            ("seeds-20ng", "fanout_speedup", 1 / 3),
+            ("stream-drift", "p99_ms", 3.0),
+        ],
+    )
+    def test_perfbench_regression_fails(self, tmp_path, workload, metric, factor):
+        current = self._results()
+        result = current["workloads"][workload]
+        if metric in result["extra"]:
+            result["extra"][metric] *= factor
+        else:
+            result["metrics"][metric]["value"] *= factor
+        result = self._gate(tmp_path, current)
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert f"totals.{workload}/{metric}" in result.stdout.split("PERF REGRESSION")[1]
+
+    def test_perfbench_metric_missing_from_current_fails(self, tmp_path):
+        current = self._results()
+        del current["workloads"]["stream-drift"]["metrics"]["work_per_s"]
+        result = self._gate(tmp_path, current)
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "totals.stream-drift/work_per_s: missing" in result.stdout
+
+    def test_perfbench_quick_run_against_full_size_exits_two(self, tmp_path):
+        result = self._gate(tmp_path, self._results(stream_slices=4))
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "same scale" in result.stderr
+
+    def test_perfbench_against_a_report_exits_two(self, tmp_path):
+        baseline, _ = self._reports(tmp_path)
+        path = write_report(baseline, tmp_path / "report.json")
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(self._results()))
+        result = self._run("--baseline", str(results), "--current", str(path))
+        assert result.returncode == 2, result.stdout + result.stderr
 
 
 class TestStreamingTotals:
-    """PR 9: streaming-engine keys roll into perf-guard-gated totals."""
-
-    def _registry(self) -> MetricsRegistry:
-        from repro.metrics.streaming import (
-            record_streaming_stats,
-            reset_streaming_stats,
-            StreamingNpmiEngine,
-        )
-        from repro.experiments.suites import (
-            STREAMING_DOCS_KEY,
-            STREAMING_RECOUNT_KEY,
-            STREAMING_UPDATE_KEY,
-        )
-
-        reset_streaming_stats()
-        registry = MetricsRegistry()
-        engine = StreamingNpmiEngine(4)
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update([[0, 1], [2, 3]])
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update([[1, 2]])
-        registry.record_seconds(STREAMING_RECOUNT_KEY, 0.5, absolute=True)
-        registry.counter(STREAMING_DOCS_KEY, absolute=True).value = 3.0
-        record_streaming_stats(registry)
-        return registry
+    """The streaming totals are ``stream-drift``'s perfbench metrics."""
 
     def test_streaming_totals_roll_up(self):
-        from repro.metrics.streaming import reset_streaming_stats
-
-        try:
-            totals = build_report(
-                "demo", registry=self._registry(), declared=STREAMING.totals
-            )["totals"]
-        finally:
-            reset_streaming_stats()
-        assert totals["streaming_update_seconds"] > 0
-        assert totals["streaming_recount_seconds"] == pytest.approx(0.5)
-        assert totals["streaming_speedup"] == pytest.approx(
-            0.5 / totals["streaming_update_seconds"]
-        )
-        assert totals["streaming_docs_per_sec"] == pytest.approx(
-            3.0 / totals["streaming_update_seconds"]
-        )
-        assert totals["streaming_updates"] == 2
-        assert totals["streaming_documents"] == 3
-        assert totals["streaming_buffer_reuses"] == 1
-        assert totals["streaming_delta_nnz"] > 0
-        for key in ("npmi_cache_hits", "npmi_cache_misses", "npmi_cache_size"):
-            assert key in totals
+        results = TestCheckRegressionScript._results()
+        totals = check_regression.perfbench_report(results)["totals"]
+        assert totals["stream-drift/work_per_s"] == 1000.0
+        assert totals["stream-drift/p99_ms"] == 60.0
+        assert totals["stream-drift/cpu_speed"] == 0.6
+        assert totals["seeds-20ng/fanout_speedup"] == 1.8
 
     def test_streaming_totals_are_gated(self):
-        gates = {t.name: t.better for t in STREAMING.totals if t.better}
-        assert gates == {
-            "streaming_update_seconds": LOWER,
-            "streaming_speedup": HIGHER,
-            "streaming_docs_per_sec": HIGHER,
-            "streaming_buffer_reuses": HIGHER,
+        gates = {t.name: t.better for t in check_regression.perfbench_gates()}
+        assert {k: v for k, v in gates.items() if k.startswith("stream-drift/")} == {
+            "stream-drift/setup_s": LOWER,
+            "stream-drift/work_per_s": HIGHER,
+            "stream-drift/p50_ms": LOWER,
+            "stream-drift/p99_ms": LOWER,
+            "stream-drift/peak_rss_mb": LOWER,
+            "stream-drift/topic_npmi": HIGHER,
+            "stream-drift/topic_diversity": HIGHER,
         }
 
     def test_regression_guard_catches_streaming_slowdown(self):
-        base = build_report(
-            "demo", registry=self._registry(), declared=STREAMING.totals
+        results = TestCheckRegressionScript._results()
+        base = check_regression.perfbench_report(results)
+        results["workloads"]["stream-drift"]["metrics"]["work_per_s"]["value"] /= 10.0
+        slow = check_regression.perfbench_report(results)
+        failures, _ = compare_reports(
+            base, slow, check_regression.perfbench_gates(), threshold=2.5
         )
-        slow = copy.deepcopy(base)
-        slow["totals"]["streaming_speedup"] = (
-            base["totals"]["streaming_speedup"] / 10.0
-        )
-        failures, _ = compare_reports(base, slow, DECLARED, threshold=2.0)
-        assert any("streaming_speedup" in f for f in failures)
+        assert len(failures) == 1
+        assert "stream-drift/work_per_s" in failures[0]

@@ -86,3 +86,17 @@ def test_failed_operations_are_recorded(tmp_path):
     entry = perf_claim.build_claim(parent, change, spec)["workloads"]["train-nyt"]
     assert entry["failed"] == {"parent": 0, "change": 10}
     assert entry["bad_runs"] == {"parent": 0, "change": 0}
+
+
+@pytest.mark.parametrize(
+    "claim", ["train-nyt", "train:work_per_s", "train-nyt:objectives.elbo_s", ""]
+)
+def test_a_malformed_claim_exits_two_before_reading_runs(tmp_path, capsys, claim):
+    out = tmp_path / "BENCH_claim.json"
+    missing = [str(tmp_path / "no-parent"), str(tmp_path / "no-change")]
+    with pytest.raises(SystemExit) as exit_info:
+        perf_claim.main([*missing, "--out", str(out), "--claim", claim])
+    assert exit_info.value.code == 2
+    assert "WORKLOAD:METRIC" in capsys.readouterr().err
+    assert not out.exists()
+
