@@ -109,13 +109,7 @@ def perfbench_report(results: dict) -> dict:
             totals[f"{workload}/{name}"] = value
         attempted[workload] = result["attempted"]
     size = {"seconds": meta.get("seconds"), "trace": meta.get("trace"), "attempted": attempted}
-    return {
-        "name": "perfbench",
-        "meta": {**meta, "size": size},
-        "totals": totals,
-        "ops": [],
-        "epochs": [],
-    }
+    return {"name": "perfbench", "meta": {**meta, "size": size}, "totals": totals}
 
 
 def load(path: Path) -> dict:
