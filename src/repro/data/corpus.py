@@ -60,10 +60,11 @@ def validate_documents(
             )
 
 
-def documents_to_csr(
-    documents: Sequence[np.ndarray], vocab_size: int
-) -> sparse.csr_matrix:
-    """The ``(docs, vocab)`` float64 count matrix of token-id documents.
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def documents_to_csr(documents: Sequence[np.ndarray], vocab_size: int) -> CSRBatch:
+    """The ``(docs, vocab)`` float64 counts of token-id documents, as CSR.
 
     Each chunk of documents is counted with one ``np.unique`` over
     ``row * vocab_size + id`` keys: the sorted unique keys are the CSR
@@ -71,13 +72,24 @@ def documents_to_csr(
     and a ``bincount`` of their rows the ``indptr`` increments.  The
     documents must be validated int64 arrays.
 
-    Ids are collected as int32 where the vocabulary allows: scipy picks
-    the matrix's index dtype from the index values alone, so the result
-    is unchanged and only the build's peak memory shrinks.
+    The arrays are built straight into a
+    :class:`~repro.tensor.sparse.CSRBatch`, with no ``scipy.sparse``
+    matrix.  Index arrays are int32 when the shape and nnz fit, int64
+    otherwise: the dtypes scipy picks for the same arrays, so
+    :meth:`Corpus.bow_sparse` wraps them without a copy.
     """
     n = len(documents)
+    id_dtype = np.int32 if vocab_size <= _INT32_MAX else np.int64
+    if n == 1:
+        # One document (a served request): no chunk bookkeeping.
+        ids, doc_counts = np.unique(documents[0], return_counts=True)
+        return CSRBatch(
+            doc_counts.astype(np.float64),
+            ids.astype(id_dtype),
+            np.array([0, ids.size], dtype=id_dtype),
+            (1, vocab_size),
+        )
     sizes = np.fromiter((doc.size for doc in documents), np.int64, n)
-    id_dtype = np.int32 if vocab_size <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices, counts = [np.zeros(0, dtype=id_dtype)], [np.zeros(0)]
     for start in range(0, n, _CSR_CHUNK_DOCS):
@@ -91,9 +103,20 @@ def documents_to_csr(
         indices.append(ids.astype(id_dtype))
         counts.append(chunk_counts.astype(np.float64))
     np.cumsum(indptr, out=indptr)
+    index_dtype = np.int32 if max(n, vocab_size, indptr[-1]) <= _INT32_MAX else np.int64
+    return CSRBatch(
+        np.concatenate(counts),
+        np.concatenate(indices).astype(index_dtype, copy=False),
+        indptr.astype(index_dtype, copy=False),
+        (n, vocab_size),
+    )
+
+
+def incidence_matrix(counts: CSRBatch) -> sparse.csr_matrix:
+    """0/1 doc-word incidence sharing ``counts``' structure arrays."""
     return sparse.csr_matrix(
-        (np.concatenate(counts), np.concatenate(indices), indptr),
-        shape=(n, vocab_size),
+        (np.ones_like(counts.data), counts.indices, counts.indptr),
+        shape=counts.shape,
     )
 
 
@@ -175,7 +198,7 @@ class Corpus:
         self._fingerprint: str | None = None
         self._bow_cache: np.ndarray | None = None
         self._bow_casts: dict[np.dtype, np.ndarray] = {}
-        self._csr_cache: sparse.csr_matrix | None = None
+        self._scipy_cache: sparse.csr_matrix | None = None
         self._csr_master: CSRBatch | None = None
         self._csr_casts: dict[np.dtype, CSRBatch] = {}
         # Cache-effectiveness counters: a "rebuild" is a from-scratch
@@ -300,7 +323,7 @@ class Corpus:
         self._fingerprint = None
         self._bow_cache = None
         self._bow_casts = {}
-        self._csr_cache = None
+        self._scipy_cache = None
         self._csr_master = None
         self._csr_casts = {}
 
@@ -348,10 +371,11 @@ class Corpus:
         return self._bow_casts[resolved]
 
     def bow_sparse(self) -> sparse.csr_matrix:
-        """Sparse CSR bag-of-words count matrix (cached; do not mutate)."""
-        if self._csr_cache is None:
-            self._csr_cache = documents_to_csr(self.documents, self.vocab_size)
-        return self._csr_cache
+        """The float64 counts as a ``scipy.sparse`` CSR matrix (cached; do
+        not mutate).  It wraps :meth:`bow_csr`'s arrays without a copy."""
+        if self._scipy_cache is None:
+            self._scipy_cache = self.bow_csr(np.float64).to_scipy()
+        return self._scipy_cache
 
     def bow_csr(self, dtype=np.float64) -> CSRBatch:
         """The corpus counts as a :class:`~repro.tensor.sparse.CSRBatch`.
@@ -367,7 +391,7 @@ class Corpus:
         resolved = np.dtype(dtype)
         built_master = self._csr_master is None
         if built_master:
-            self._csr_master = CSRBatch.from_scipy(self.bow_sparse())
+            self._csr_master = documents_to_csr(self.documents, self.vocab_size)
         if resolved == self._csr_master.dtype:
             key = "csr_rebuilds" if built_master else "csr_hits"
             self.cast_stats[key] += 1
@@ -385,13 +409,7 @@ class Corpus:
 
     def binary_doc_word(self) -> sparse.csr_matrix:
         """Sparse boolean doc-word incidence (for NPMI co-occurrence)."""
-        mat = self.bow_sparse()
-        # A fresh matrix sharing the structure arrays — the cached counts
-        # must not be overwritten.
-        return sparse.csr_matrix(
-            (np.ones_like(mat.data), mat.indices, mat.indptr),
-            shape=mat.shape,
-        )
+        return incidence_matrix(self.bow_csr(np.float64))
 
     # ------------------------------------------------------------------
     def subset(self, indices: Iterable[int]) -> "Corpus":

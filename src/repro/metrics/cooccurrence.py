@@ -27,7 +27,12 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.data.corpus import Corpus, documents_to_csr, validate_documents
+from repro.data.corpus import (
+    Corpus,
+    documents_to_csr,
+    incidence_matrix,
+    validate_documents,
+)
 from repro.errors import CorpusError, ShapeError
 
 #: Dense V×V joint matrices are large; keep only this many corpora.
@@ -217,9 +222,7 @@ class DocumentCooccurrence:
         # A (possibly empty) sequence of token-id documents.
         docs = [np.asarray(doc, dtype=np.int64) for doc in new_docs]
         validate_documents(docs, vocab, noun="slice document")
-        incidence = documents_to_csr(docs, vocab)
-        incidence.data = np.ones_like(incidence.data)
-        return incidence
+        return incidence_matrix(documents_to_csr(docs, vocab))
 
     @property
     def vocab_size(self) -> int:

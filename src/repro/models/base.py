@@ -23,7 +23,7 @@ from repro.data.vocabulary import Vocabulary
 from repro.errors import ConfigError, CorpusError, NotFittedError, ShapeError
 from repro.nn import BatchNorm1d, Linear, MLP, Module
 from repro.tensor import functional as F
-from repro.tensor import dtypes, fused
+from repro.tensor import dtypes, fused, kernels
 from repro.tensor.dtypes import get_default_dtype, get_sparse_policy
 from repro.tensor.sparse import CSRBatch
 from repro.tensor.tensor import Tensor, no_grad
@@ -115,19 +115,44 @@ class VaeEncoder(Module):
         self.logvar_bn = BatchNorm1d(config.num_topics, affine=False)
 
     def forward(self, bow: Tensor | CSRBatch) -> tuple[Tensor, Tensor]:
-        # Normalizing counts keeps the encoder input scale stable across
-        # documents of very different lengths.
         if isinstance(bow, CSRBatch):
             # Sparse fast path: the normalized CSR batch feeds the trunk's
             # first Linear, whose fused.linear dispatches to linear_csr —
             # O(nnz·hidden) instead of O(batch·vocab·hidden).
-            pi = self.trunk(bow.row_normalized())
+            pi = self.trunk(_normalized(bow))
         else:
-            total = Tensor(bow.data.sum(axis=1, keepdims=True).clip(min=1.0))
-            pi = self.trunk(bow / total)
+            pi = self.trunk(Tensor(_normalized(bow.data)))
         mu = self.mu_bn(self.mu_head(pi))
         logvar = self.logvar_bn(self.logvar_head(pi))
         return mu, logvar
+
+    def infer_theta(self, bow: np.ndarray | CSRBatch) -> np.ndarray:
+        """θ = softmax(μ(w)) in eval mode, on plain arrays.
+
+        The deterministic inference pass of §III.B: the trunk, the μ head,
+        its batch norm by the running statistics and the softmax, each
+        through the layer's ``infer`` — the same kernels, in the same
+        order, as :meth:`forward` followed by ``softmax`` in eval mode, so
+        θ is bitwise equal to ``encode_theta(bow, sample=False)[0]`` on an
+        eval model.  The log σ head, whose output θ does not use, is not
+        computed, no graph node is built and no module mode is read or
+        changed.  ``bow`` must already be in the parameters' working
+        dtype (``transform`` builds it so).
+        """
+        mu = self.mu_bn.infer(self.mu_head.infer(self.trunk.infer(_normalized(bow))))
+        return kernels.softmax(mu, axis=1)
+
+
+def _normalized(bow: np.ndarray | CSRBatch) -> np.ndarray | CSRBatch:
+    """Counts divided by each document's length (at least 1).
+
+    Normalizing keeps the encoder input scale stable across documents of
+    very different lengths; the CSR form divides the same stored values
+    (:meth:`~repro.tensor.sparse.CSRBatch.row_normalized`).
+    """
+    if isinstance(bow, CSRBatch):
+        return bow.row_normalized()
+    return bow / bow.sum(axis=1, keepdims=True).clip(min=1.0)
 
 
 class NeuralTopicModel(TopicModel, Module):
@@ -345,38 +370,29 @@ class NeuralTopicModel(TopicModel, Module):
                 f"{self.vocab_size}; re-index the documents with the "
                 "model's own vocabulary"
             )
-        # Inference must not leave a side effect on training: a validation
-        # callback calling transform() mid-fit would otherwise flip the
-        # model into eval mode (disabling dropout / freezing batch-norm
-        # statistics) for the rest of the epoch.
-        was_training = self.training
-        self.eval()
-        try:
-            batch_size = self.config.batch_size
-            thetas: list[np.ndarray] = []
-            if get_sparse_policy().use_sparse(corpus.bow_density()):
-                # Sparse fast path: contiguous eval batches are zero-copy
-                # CSR row views; a batch denser than the threshold falls
-                # back to dense for that batch only.
-                csr = corpus.bow_csr(dtype=get_default_dtype())
-                with no_grad():
-                    for start in range(0, len(corpus), batch_size):
-                        batch = csr.slice_rows(start, start + batch_size)
-                        if batch.density >= dtypes.SPARSE_DENSITY_THRESHOLD:
-                            batch = batch.toarray()
-                        theta, _, _ = self.encode_theta(batch, sample=False)
-                        thetas.append(theta.data)
-            else:
-                bow = corpus.bow_matrix(dtype=get_default_dtype())
-                with no_grad():
-                    for start in range(0, bow.shape[0], batch_size):
-                        theta, _, _ = self.encode_theta(
-                            bow[start : start + batch_size], sample=False
-                        )
-                        thetas.append(theta.data)
-            return np.concatenate(thetas, axis=0)
-        finally:
-            self.train(was_training)
+        # One eval forward on plain arrays (VaeEncoder.infer_theta): it
+        # reads no module mode, so a validation callback calling
+        # transform() mid-fit leaves dropout and batch-norm statistics
+        # exactly as training set them.
+        infer = self.encoder.infer_theta
+        batch_size = self.config.batch_size
+        dtype = get_default_dtype()
+        thetas: list[np.ndarray] = []
+        if get_sparse_policy().use_sparse(corpus.bow_density()):
+            # Sparse fast path: contiguous eval batches are zero-copy CSR
+            # row views; a batch denser than the threshold falls back to
+            # dense for that batch only.
+            csr = corpus.bow_csr(dtype=dtype)
+            for start in range(0, len(corpus), batch_size):
+                batch = csr.slice_rows(start, start + batch_size)
+                if batch.density >= dtypes.SPARSE_DENSITY_THRESHOLD:
+                    batch = batch.toarray()
+                thetas.append(infer(batch))
+        else:
+            bow = corpus.bow_matrix(dtype=dtype)
+            for start in range(0, bow.shape[0], batch_size):
+                thetas.append(infer(bow[start : start + batch_size]))
+        return thetas[0] if len(thetas) == 1 else np.concatenate(thetas, axis=0)
 
     def _require_fitted(self) -> None:
         if not self._fitted:

@@ -4,6 +4,13 @@ The paper's encoder is "a three-layer perceptron of 800 hidden units and
 SeLU as the activation function, followed by a dropout layer (rate = 0.5)
 and a batch norm layer" — everything needed for that (and for the baseline
 architectures) lives here.
+
+Besides the :class:`~repro.tensor.tensor.Tensor` ``forward`` that training
+differentiates, each layer has ``infer``: its eval-mode forward on plain
+arrays (dropout off, batch norm by its running statistics), whatever
+``training`` says.  ``infer`` calls the same :mod:`repro.tensor.kernels`
+function as ``forward``, so the two agree bit for bit; it builds no graph
+node and walks no module modes, which is what makes ``transform`` cheap.
 """
 
 from __future__ import annotations
@@ -16,23 +23,30 @@ from repro.errors import ConfigError, ShapeError
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
-from repro.tensor import fused
+from repro.tensor import fused, kernels
+from repro.tensor.sparse import CSRBatch, transpose_contiguous
 from repro.tensor.tensor import Tensor
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": F.relu,
-    "selu": F.selu,
-    "tanh": F.tanh,
-    "sigmoid": F.sigmoid,
-    "softplus": F.softplus,
-    "gelu": F.gelu,
-    "leaky_relu": F.leaky_relu,
-    "identity": lambda x: x,
+def _identity(x):
+    return x
+
+
+#: name -> (Tensor op, its forward on plain arrays).
+_ACTIVATIONS: dict[
+    str, tuple[Callable[[Tensor], Tensor], Callable[[np.ndarray], np.ndarray]]
+] = {
+    "relu": (F.relu, kernels.relu),
+    "selu": (F.selu, kernels.selu),
+    "tanh": (F.tanh, np.tanh),
+    "sigmoid": (F.sigmoid, kernels.sigmoid),
+    "softplus": (F.softplus, kernels.softplus),
+    "gelu": (F.gelu, kernels.gelu),
+    "leaky_relu": (F.leaky_relu, kernels.leaky_relu),
+    "identity": (_identity, _identity),
 }
 
 
-def get_activation(name: str) -> Callable[[Tensor], Tensor]:
-    """Look up an activation function by name."""
+def _activation_pair(name: str):
     try:
         return _ACTIVATIONS[name]
     except KeyError:
@@ -41,8 +55,24 @@ def get_activation(name: str) -> Callable[[Tensor], Tensor]:
         ) from None
 
 
+def get_activation(name: str) -> Callable[[Tensor], Tensor]:
+    """Look up an activation function by name."""
+    return _activation_pair(name)[0]
+
+
 class Linear(Module):
-    """Affine map ``y = x W^T + b`` with Xavier-uniform initialisation."""
+    """Affine map ``y = x W^T + b`` with Xavier-uniform initialisation.
+
+    :meth:`infer` on a CSR batch multiplies by a C-contiguous ``W^T``
+    cached against the weight array it was copied from.  Every optimizer
+    step and :meth:`~repro.nn.module.Module.load_state_dict` rebind
+    ``weight.data`` to a new array, so a stale copy is never served; an
+    in-place write to ``weight.data`` would not be seen.
+    """
+
+    #: (weight array, its C-contiguous transpose), swapped as one tuple so
+    #: a concurrent reader never pairs one array with another's copy.
+    _weight_t: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(
         self,
@@ -57,12 +87,26 @@ class Linear(Module):
         self.weight = Parameter(init.xavier_uniform((out_features, in_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _check(self, x) -> None:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check(x)
         return fused.linear(x, self.weight, self.bias)
+
+    def infer(self, x: np.ndarray | CSRBatch) -> np.ndarray:
+        self._check(x)
+        bias = None if self.bias is None else self.bias.data
+        weight = self.weight.data
+        if not isinstance(x, CSRBatch):
+            return kernels.linear(x, weight, bias)
+        cached = self._weight_t
+        if cached is None or cached[0] is not weight:
+            cached = self._weight_t = (weight, transpose_contiguous(weight))
+        return kernels.linear_csr(x, cached[1], bias)
 
 
 class Dropout(Module):
@@ -81,6 +125,9 @@ class Dropout(Module):
         keep = 1.0 - self.rate
         mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep
         return x * Tensor(mask)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 class BatchNorm1d(Module):
@@ -108,11 +155,14 @@ class BatchNorm1d(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _check(self, x) -> None:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ShapeError(
                 f"BatchNorm1d expected (batch, {self.num_features}), got {x.shape}"
             )
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check(x)
         # The fused kernel updates the running statistics in place
         # (training mode) and reads them as constants in eval mode.
         return fused.batch_norm(
@@ -125,6 +175,18 @@ class BatchNorm1d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        self._check(x)
+        out, _, _ = kernels.batch_norm_eval(
+            x,
+            self.running_mean,
+            self.running_var,
+            self.weight.data if self.affine else None,
+            self.bias.data if self.affine else None,
+            self.eps,
+        )
+        return out
 
 
 class Identity(Module):
@@ -140,10 +202,13 @@ class Activation(Module):
     def __init__(self, name: str):
         super().__init__()
         self.name = name
-        self._fn = get_activation(name)
+        self._fn, self._array_fn = _activation_pair(name)
 
     def forward(self, x: Tensor) -> Tensor:
         return self._fn(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._array_fn(x)
 
 
 class Sequential(Module):
@@ -160,6 +225,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for name in self._order:
             x = getattr(self, name)(x)
+        return x
+
+    def infer(self, x):
+        for name in self._order:
+            x = getattr(self, name).infer(x)
         return x
 
     def __iter__(self):
@@ -200,3 +270,6 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.body(x)
+
+    def infer(self, x):
+        return self.body.infer(x)

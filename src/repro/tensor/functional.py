@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import fused
+from repro.tensor import fused, kernels
 from repro.tensor.tensor import Tensor, as_tensor
-
-_SELU_ALPHA = 1.6732632423543772
-_SELU_SCALE = 1.0507009873554805
 
 #: Composite functional ops eligible for op-level profiling (see
 #: :func:`repro.telemetry.ophooks.profile_ops`).  Profiling a composite
@@ -64,7 +61,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
+    out_data = kernels.relu(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -75,7 +72,7 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     x = as_tensor(x)
-    out_data = np.where(x.data > 0.0, x.data, negative_slope * x.data)
+    out_data = kernels.leaky_relu(x.data, negative_slope)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -88,17 +85,11 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 def selu(x: Tensor) -> Tensor:
     """Scaled exponential linear unit (the paper's encoder activation)."""
     x = as_tensor(x)
-    positive = x.data > 0.0
-    out_data = _SELU_SCALE * np.where(
-        positive, x.data, _SELU_ALPHA * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    )
+    out_data = kernels.selu(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            deriv = _SELU_SCALE * np.where(
-                positive, 1.0, _SELU_ALPHA * np.exp(np.minimum(x.data, 0.0))
-            )
-            x._accumulate(grad * deriv)
+            x._accumulate(grad * kernels.selu_derivative(x.data))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -107,11 +98,15 @@ softplus = fused.softplus
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation), one node."""
     x = as_tensor(x)
-    c = float(np.sqrt(2.0 / np.pi))
-    inner = (x + x * x * x * 0.044715) * c
-    return x * 0.5 * (tanh(inner) + 1.0)
+    out_data = kernels.gelu(x.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad * kernels.gelu_derivative(x.data))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def cross_entropy_with_probs(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor import kernels
 from repro.tensor.sparse import CSRBatch, transpose_contiguous
 from repro.tensor.tensor import Tensor, as_tensor
 
@@ -96,9 +97,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: x {x.shape} vs weight {weight.shape}"
         )
-    out_data = x.data @ weight.data.T
-    if bias is not None:
-        out_data += bias.data  # fresh array: safe to add in place
+    out_data = kernels.linear(x.data, weight.data, None if bias is None else bias.data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -142,9 +141,11 @@ def linear_csr(
             f"linear_csr shape mismatch: x {x.shape} vs weight {weight.shape}"
         )
     counts = x.astype(weight.data.dtype)
-    out_data = counts.matmul_dense(weight.data.T)
-    if bias is not None:
-        out_data += bias.data  # fresh array: safe to add in place
+    out_data = kernels.linear_csr(
+        counts,
+        transpose_contiguous(weight.data),
+        None if bias is None else bias.data,
+    )
 
     parents = (weight,) if bias is None else (weight, bias)
 
@@ -168,10 +169,7 @@ def linear_csr(
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Fused max-shifted softmax: one node instead of five."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    out_data = shifted
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    out_data = kernels.softmax(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -225,9 +223,7 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Fused logistic sigmoid (tanh-form for numerical robustness)."""
     x = as_tensor(x)
-    out_data = np.tanh(x.data * 0.5)
-    out_data += 1.0
-    out_data *= 0.5
+    out_data = kernels.sigmoid(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -239,7 +235,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     """``log(1 + exp(x))`` computed stably for large ``|x|``."""
     x = as_tensor(x)
-    out_data = np.logaddexp(0.0, x.data)
+    out_data = kernels.softplus(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -450,14 +446,18 @@ def _mixture_nll_gather(
             return
         coeff = CSRBatch(
             scale * counts / denom_nz, bow.indices, bow.indptr, bow.shape
-        ).to_scipy()
+        )
         if theta.requires_grad:
             theta._accumulate(
-                np.asarray(coeff @ transpose_contiguous(beta.data), dtype=dtype)
+                np.asarray(
+                    coeff.matmul_dense(transpose_contiguous(beta.data)), dtype=dtype
+                )
             )
         if beta.requires_grad:
             beta._accumulate(
-                transpose_contiguous(np.asarray(coeff.T @ theta.data, dtype=dtype))
+                transpose_contiguous(
+                    np.asarray(coeff.t_matmul_dense(theta.data), dtype=dtype)
+                )
             )
 
     return Tensor._make(out_data, (theta, beta), backward)
@@ -613,8 +613,9 @@ def batch_norm(
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batch_norm expects a (batch, features) input, got {x.shape}")
-    dtype = x.data.dtype
     n = x.shape[0]
+    weight_data = None if weight is None else weight.data
+    bias_data = None if bias is None else bias.data
     if training:
         mean = x.data.mean(axis=0)
         centered = x.data - mean
@@ -625,18 +626,15 @@ def batch_norm(
         if running_var is not None:
             running_var *= 1.0 - momentum
             running_var += (momentum * n / max(n - 1, 1)) * var
+        out_data, xhat, inv_std = kernels.batch_norm_affine(
+            centered, var, weight_data, bias_data, eps
+        )
     else:
         if running_mean is None or running_var is None:
             raise ShapeError("batch_norm in eval mode requires running statistics")
-        mean = running_mean.astype(dtype, copy=False)
-        var = running_var.astype(dtype, copy=False)
-        centered = x.data - mean
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered
-    xhat *= inv_std  # in place: `centered` is a fresh array
-    out_data = xhat * weight.data if weight is not None else xhat.copy()
-    if bias is not None:
-        out_data += bias.data
+        out_data, xhat, inv_std = kernels.batch_norm_eval(
+            x.data, running_mean, running_var, weight_data, bias_data, eps
+        )
 
     parents = tuple(p for p in (x, weight, bias) if p is not None)
 

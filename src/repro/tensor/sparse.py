@@ -28,14 +28,18 @@ Design points:
   reconstruction terms, CLNTM's tf-idf augmentation) keep working
   unchanged when a sparse batch reaches them.
 
-scipy is used for the two matmuls (its C CSR kernels); everything else is
-plain numpy over the three arrays.
+The two matmuls call scipy's compiled CSR/CSC kernels directly on the
+three arrays (:func:`sparse_dense_product`), so no ``scipy.sparse`` matrix
+is built on the training or inference path; everything else is plain
+numpy.  :meth:`CSRBatch.to_scipy` wraps the same buffers where a caller
+needs scipy's API.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _scipy_sparse
+from scipy.sparse import _sparsetools
 
 from repro.errors import ShapeError
 
@@ -231,9 +235,12 @@ class CSRBatch:
 
         ``data`` and ``indices`` are numpy views into the parent buffers;
         only the small re-based ``indptr`` (``stop - start + 1`` ints) is
-        fresh.  This is the batch access pattern of ``transform()``.
+        fresh.  A range covering every row returns the batch itself.  This
+        is the batch access pattern of ``transform()``.
         """
         start, stop = max(start, 0), min(stop, self.shape[0])
+        if start == 0 and stop == self.shape[0]:
+            return self
         lo, hi = self.indptr[start], self.indptr[stop]
         return CSRBatch(
             self.data[lo:hi],
@@ -296,8 +303,48 @@ class CSRBatch:
 
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """``self @ dense`` — the sparse×dense forward product."""
-        return self.to_scipy() @ _as_c_contiguous(dense)
+        return sparse_dense_product(self, dense)
 
     def t_matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """``self.T @ dense`` — the weight-gradient product."""
-        return self.to_scipy().T @ _as_c_contiguous(dense)
+        return sparse_dense_product(self, dense, transpose=True)
+
+
+#: scipy's (single-vector, multi-vector) kernels: the CSR arrays read as
+#: CSR for ``batch @ dense`` and as CSC of the transpose for ``batch.T @ dense``.
+_KERNELS = {
+    False: (_sparsetools.csr_matvec, _sparsetools.csr_matvecs),
+    True: (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
+}
+
+
+def sparse_dense_product(
+    batch: CSRBatch, dense: np.ndarray, transpose: bool = False
+) -> np.ndarray:
+    """``batch @ dense`` (or ``batch.T @ dense``) through scipy's C kernels.
+
+    Runs the very kernel ``batch.to_scipy() @ dense`` (``.T @ dense``)
+    dispatches to — ``csr_matvecs`` (``csc_matvecs`` on the same three
+    arrays for the transpose), or the single-vector ``*_matvec`` when
+    ``dense`` has one column — into a zeroed output of the upcast dtype,
+    so the result is bitwise equal to scipy's.  What it skips is building
+    and format-checking a ``scipy.sparse`` matrix per call, which costs
+    more than the product itself at serving batch sizes.
+    """
+    rows, cols = batch.shape
+    n_row, n_col = (cols, rows) if transpose else (rows, cols)
+    dense = _as_c_contiguous(dense)
+    if dense.ndim != 2 or dense.shape[0] != n_col:
+        raise ShapeError(
+            f"sparse_dense_product: {'transposed ' if transpose else ''}"
+            f"batch {batch.shape} cannot multiply {dense.shape}"
+        )
+    n_vecs = dense.shape[1]
+    out = np.zeros((n_row, n_vecs), dtype=np.result_type(batch.data, dense))
+    matvec, matvecs = _KERNELS[transpose]
+    args = (batch.indptr, batch.indices, batch.data, dense.ravel(), out.ravel())
+    if n_vecs == 1:  # scipy's dispatch for an (n, 1) operand
+        matvec(n_row, n_col, *args)
+    else:
+        matvecs(n_row, n_col, n_vecs, *args)
+    return out

@@ -18,7 +18,7 @@ from repro.tensor.dtypes import (
     get_sparse_policy,
     sparse_policy,
 )
-from repro.tensor.sparse import CSRBatch, transpose_contiguous
+from repro.tensor.sparse import CSRBatch, sparse_dense_product, transpose_contiguous
 
 RNG = np.random.default_rng(11)
 TOL = 1e-6  # acceptance bound for dense-vs-sparse values and gradients
@@ -123,6 +123,92 @@ class TestCSRBatch:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             CSRBatch(np.ones(2), np.array([0, 1]), np.array([0, 2]), (3, 4))
+
+
+class TestDirectKernel:
+    """``sparse_dense_product`` runs scipy's own kernel without a matrix
+    object, so it must equal ``to_scipy() @ dense`` bit for bit."""
+
+    @staticmethod
+    def _batch(dtype, index_dtype, rows=11, cols=17, empty_rows=(0, 4, 10)):
+        dense = np.where(
+            RNG.random((rows, cols)) < 0.3, RNG.normal(size=(rows, cols)), 0.0
+        ).astype(dtype)
+        dense[list(empty_rows)] = 0.0
+        csr = CSRBatch.from_dense(dense)
+        return CSRBatch(
+            csr.data,
+            csr.indices.astype(index_dtype),
+            csr.indptr.astype(index_dtype),
+            csr.shape,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("width", [1, 6])
+    def test_bitwise_equal_to_scipy(self, dtype, index_dtype, width):
+        batch = self._batch(dtype, index_dtype)
+        assert batch.indices.dtype == index_dtype
+        assert (batch.row_nnz() == 0).any()
+        right = RNG.normal(size=(batch.shape[1], width)).astype(dtype)
+        left = RNG.normal(size=(batch.shape[0], width)).astype(dtype)
+        for got, want in [
+            (sparse_dense_product(batch, right), batch.to_scipy() @ right),
+            (batch.matmul_dense(right), batch.to_scipy() @ right),
+            (
+                sparse_dense_product(batch, left, transpose=True),
+                batch.to_scipy().T @ left,
+            ),
+            (batch.t_matmul_dense(left), batch.to_scipy().T @ left),
+        ]:
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_view_operand(self, dtype):
+        # The linear_csr forward hands over ``weight.T``; the blocked copy
+        # must give the same bits as scipy's own C-order ravel.
+        batch = self._batch(dtype, np.int32)
+        weight = RNG.normal(size=(5, batch.shape[1])).astype(dtype)
+        np.testing.assert_array_equal(
+            batch.matmul_dense(weight.T), batch.to_scipy() @ weight.T
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_zero_nnz_batch(self, dtype, index_dtype):
+        batch = CSRBatch(
+            np.zeros(0, dtype),
+            np.zeros(0, index_dtype),
+            np.zeros(4, index_dtype),
+            (3, 7),
+        )
+        right = RNG.normal(size=(7, 2)).astype(dtype)
+        left = RNG.normal(size=(3, 2)).astype(dtype)
+        np.testing.assert_array_equal(
+            sparse_dense_product(batch, right), batch.to_scipy() @ right
+        )
+        np.testing.assert_array_equal(
+            sparse_dense_product(batch, left, transpose=True),
+            batch.to_scipy().T @ left,
+        )
+        assert not sparse_dense_product(batch, right).any()
+
+    def test_mixed_precision_upcasts_like_scipy(self):
+        batch = self._batch(np.float32, np.int32)
+        right = RNG.normal(size=(batch.shape[1], 3))
+        got = batch.matmul_dense(right)
+        want = batch.to_scipy() @ right
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    def test_shape_mismatch_raises(self):
+        batch = self._batch(np.float64, np.int32)
+        with pytest.raises(ShapeError):
+            sparse_dense_product(batch, np.ones((batch.shape[1] + 1, 2)))
+        with pytest.raises(ShapeError):
+            sparse_dense_product(batch, np.ones((batch.shape[1], 2)), transpose=True)
 
 
 class TestKernelEquivalence:
