@@ -34,11 +34,12 @@ become totals named ``<workload>/<metric>``, gated in the direction
 ``BENCHMARK.json`` (or :data:`EXTRA_GATES`) gives.  Two results files
 must share their ``--seconds`` and ``--trace`` and, for every workload
 both ran, the number of operations attempted, which is how a ``--quick``
-run shows (``stream-drift`` runs 4 slices instead of 160; ``seeds-20ng``
-attempts 12 seed runs at every size).  CI's ``perfbench-gate`` job::
+run shows (``stream-drift`` runs 4 slices instead of 160, ``train-nyt``
+2 epochs instead of 50; ``seeds-20ng`` attempts 12 seed runs at every
+size).  CI's ``perfbench-gate`` job::
 
-    python3 perfbench/run.py --workload seeds-20ng --workload stream-drift \
-        --no-cache --out /tmp/pb
+    python3 perfbench/run.py --workload train-nyt --workload seeds-20ng \
+        --workload stream-drift --no-cache --out /tmp/pb
     python benchmarks/check_regression.py --threshold 2.5 \
         --baseline benchmarks/baselines/perfbench_gate.json \
         --current /tmp/pb/results.json

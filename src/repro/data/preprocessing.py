@@ -104,8 +104,8 @@ class Preprocessor:
         cfg = self.config
         provisional: dict[str, int] = {}
         ids, distinct_ids = array("i"), array("i")
-        sizes = np.zeros(len(texts) + 1, dtype=np.int64)
-        for i, text in enumerate(texts, 1):
+        sizes = np.zeros(len(texts), dtype=np.int64)
+        for i, text in enumerate(texts):
             tokens = simple_tokenize(text)
             distinct = set(tokens)
             new = [t for t in distinct if t not in provisional]
@@ -132,13 +132,23 @@ class Preprocessor:
             )
         self.vocabulary = Vocabulary(kept).freeze()
 
-        vocab_ids = np.full(len(provisional), -1, dtype=np.int64)
+        vocab_ids = np.full(len(provisional), -1, dtype=np.int32)
         vocab_ids[[provisional[token] for token in kept]] = np.arange(len(kept))
         mapped = vocab_ids[np.frombuffer(ids, dtype=np.intc)]
+        del ids, distinct_ids
         known = mapped >= 0
-        # Known tokens before each text's boundary split the kept ids.
-        bounds = np.concatenate(([0], np.cumsum(known)))[np.cumsum(sizes)]
-        return np.split(mapped[known], bounds[1:-1])
+        # Kept tokens per text.  reduceat sums known[start:next start] but
+        # gives known[start] for an empty text and rejects a start at the
+        # end, so it runs over the non-empty texts' starts only.
+        nonempty = sizes > 0
+        kept_sizes = np.zeros(len(texts), dtype=np.int64)
+        kept_sizes[nonempty] = np.add.reduceat(
+            known, (np.cumsum(sizes) - sizes)[nonempty], dtype=np.int64
+        )
+        # int64 like Corpus's documents, which then wrap the views uncopied.
+        tokens = mapped[known].astype(np.int64)
+        del mapped, known
+        return np.split(tokens, np.cumsum(kept_sizes)[:-1])
 
     def transform(
         self,

@@ -21,7 +21,11 @@ def ppmi_matrix(
     vectors).
 
     Returns a dense matrix — vocabulary sizes here are small enough, and
-    the SVD consumer needs dense anyway.
+    the SVD consumer needs dense anyway.  After the normalisation each
+    step writes into a buffer this function owns (never the caller's
+    array), so at most three ``V * V`` float arrays and a boolean mask
+    are alive at once; the ufuncs and their order, and so the bits, are
+    those of a new array per step.
     """
     dense = counts.toarray() if sparse.issparse(counts) else np.asarray(counts, float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -30,12 +34,18 @@ def ppmi_matrix(
     if total <= 0:
         return np.zeros_like(dense)
     joint = dense / total
+    del dense
     row = joint.sum(axis=1)
     context = joint.sum(axis=0)
     if smoothing != 1.0:
         context = context**smoothing
         context = context / context.sum()
+    marginals = np.outer(row, context)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(joint) - np.log(np.outer(row, context))
-    pmi = np.where(joint > 0, pmi, -np.inf)
-    return np.maximum(pmi - shift, 0.0)
+        np.log(marginals, out=marginals)
+        pmi = np.log(joint)
+        pmi -= marginals  # -inf - -inf for a word with no counts
+    del marginals
+    np.copyto(pmi, -np.inf, where=~(joint > 0))
+    pmi -= shift
+    return np.maximum(pmi, 0.0, out=pmi)

@@ -28,7 +28,7 @@ def svd_embeddings(
     # A fixed deterministic start vector makes the Lanczos iteration (and
     # hence the embeddings, models and checkpoints) bit-reproducible.
     v0 = np.linspace(1.0, 2.0, v)
-    u, s, _ = svds(ppmi.astype(np.float64), k=dim, v0=v0)
+    u, s, _ = svds(np.asarray(ppmi, dtype=np.float64), k=dim, v0=v0)
     # svds returns ascending singular values; flip to conventional order.
     order = np.argsort(-s)
     u = u[:, order]

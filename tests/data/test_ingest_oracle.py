@@ -236,6 +236,28 @@ class TestFitTransform:
         _assert_corpora_identical(got, want)
         assert two_pass.vocabulary == legacy_fit(Preprocessor(cfg), texts)
 
+    @pytest.mark.parametrize(
+        "empty",
+        [[0], [0, 1, 2], [20, 21], [39], [37, 38, 39], [0, 19, 20, 39]],
+        ids=["leading", "leading_run", "middle", "trailing", "trailing_run", "everywhere"],
+    )
+    @pytest.mark.parametrize("min_doc_length", [1, 2])
+    def test_empty_texts_anywhere(self, empty, min_doc_length):
+        # Kept-token counts per text come from a reduceat over the texts'
+        # starts, which mishandles empty texts unless they are skipped.
+        rng = np.random.default_rng(11)
+        texts = [f"alpha beta {text}" for text in TestTransform()._texts(rng, 40)]
+        texts[10] = texts[-2] = "the and"  # tokens, none of them kept
+        for i in empty:
+            texts[i] = ""
+        labels = list(range(len(texts)))
+        cfg = PreprocessConfig(
+            min_doc_count=2, max_doc_frequency=1.0, min_doc_length=min_doc_length
+        )
+        got = Preprocessor(cfg).fit_transform(texts, labels=labels)
+        want = Preprocessor(cfg).fit(texts).transform(texts, labels=labels)
+        _assert_corpora_identical(got, want)
+
     def test_fitted_preprocessor_transforms_alike(self):
         rng = np.random.default_rng(7)
         texts = self._texts(rng, 120)

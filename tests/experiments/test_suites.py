@@ -72,6 +72,10 @@ def test_the_perfbench_gate_keeps_the_retired_suites_gates():
         assert gates[name] == HIGHER
         assert baseline["totals"][name] > 0
     assert baseline["meta"]["size"]["attempted"]["stream-drift"] > 4  # not --quick
+    # train-nyt rides along at full size, its peak memory gated too.
+    assert gates["train-nyt/peak_rss_mb"] == LOWER
+    assert baseline["totals"]["train-nyt/peak_rss_mb"] > 0
+    assert baseline["meta"]["size"]["attempted"]["train-nyt"] > 2  # not --quick
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda path: path.name)
